@@ -487,27 +487,9 @@ pub fn e17_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
     )
 }
 
-/// The E18 headline workload: the analysis-pruned box check (static
-/// interval verdicts plus direct-indexed exploration) of the `max` CRN
-/// against `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker so the
-/// measured speedup over the reference engine is purely algorithmic.
-/// Runs the *baseline* engine — the analysis-pruned scan without the
-/// incremental layers — so the E18 measurement keeps comparing exactly the
-/// engines it always did; the incremental engine on top of it is E19.
-#[must_use]
-pub fn e18_box_pruned(bound: u64) -> Option<crn_model::StableComputationVerdict> {
-    crn_model::check_on_box_baseline_with_workers(
-        &examples::max_crn(),
-        |x| x[0].max(x[1]),
-        bound,
-        1_000_000,
-        1,
-    )
-    .expect("fits")
-}
-
-/// The E18 baseline: the same box on the unpruned reference engine (hash
-/// interning, no static verdicts) — the PR 6 behaviour.
+/// The E18/E19 comparison point: the `max` box on the unpruned reference
+/// engine (hash interning, a full verdict per point, no static verdicts or
+/// symmetry), pinned to one worker like [`e19_box_incremental`].
 #[must_use]
 pub fn e18_box_reference(bound: u64) -> Option<crn_model::StableComputationVerdict> {
     crn_model::check_on_box_reference_with_workers(
@@ -520,41 +502,10 @@ pub fn e18_box_reference(bound: u64) -> Option<crn_model::StableComputationVerdi
     .expect("fits")
 }
 
-/// E18 headline measurement: verdicts/sec for the `max` CRN box check on the
-/// analysis-pruned engine versus the unpruned reference.  Returns
-/// `(pruned_verdicts_per_sec, reference_verdicts_per_sec, speedup,
-/// results_identical)`.  As in E13, the verdict count assumes the full
-/// `(bound + 1)^2` box is scanned, which holds because the `max` CRN passes
-/// everywhere.
-///
-/// # Panics
-///
-/// Panics if the `max` CRN unexpectedly fails somewhere in the box.
-#[must_use]
-pub fn e18_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
-    let verdicts = f64::from(repeats) * ((bound + 1) * (bound + 1)) as f64;
-    // One unmeasured pass each, so first-call page faults and lazy buffer
-    // growth are not billed to either engine.
-    let _ = e18_box_pruned(bound);
-    let _ = e18_box_reference(bound);
-    let (pruned_secs, pruned_result) = time_repeats(repeats, || e18_box_pruned(bound));
-    let (reference_secs, reference_result) = time_repeats(repeats, || e18_box_reference(bound));
-    assert!(
-        pruned_result.is_none(),
-        "the max CRN must pass the whole box for the verdict count to be exact"
-    );
-    (
-        verdicts / pruned_secs,
-        verdicts / reference_secs,
-        reference_secs / pruned_secs,
-        pruned_result == reference_result,
-    )
-}
-
-/// The E19 headline workload: the incremental box check (symmetry orbits,
-/// cross-point memoization, packed exploration) of the `max` CRN against
+/// The E18/E19 headline workload: the default box check (symmetry orbits,
+/// static verdicts, packed exploration) of the `max` CRN against
 /// `max(x1, x2)` on `[0, bound]^2`.  Pinned to one worker so the measured
-/// speedup over the E18 baseline is purely algorithmic.
+/// speedup over the reference engine is purely algorithmic.
 #[must_use]
 pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVerdict> {
     crn_model::check_on_box_with_workers(
@@ -567,10 +518,10 @@ pub fn e19_box_incremental(bound: u64) -> Option<crn_model::StableComputationVer
     .expect("fits")
 }
 
-/// E19 headline measurement: verdicts/sec for the `max` CRN box check on the
-/// incremental engine versus the E18 analysis-pruned baseline.  Returns
-/// `(incremental_verdicts_per_sec, baseline_verdicts_per_sec, speedup,
-/// results_identical)`.  As in E18, the verdict count assumes the full
+/// E18/E19 headline measurement: verdicts/sec for the `max` CRN box check
+/// on the default engine versus the reference engine.  Returns
+/// `(default_verdicts_per_sec, reference_verdicts_per_sec, speedup,
+/// results_identical)`.  As in E13, the verdict count assumes the full
 /// `(bound + 1)^2` box is scanned, which holds because the `max` CRN passes
 /// everywhere.
 ///
@@ -583,19 +534,19 @@ pub fn e19_box_check(bound: u64, repeats: u32) -> (f64, f64, f64, bool) {
     // One unmeasured pass each, so first-call page faults and lazy buffer
     // growth are not billed to either engine.
     let _ = e19_box_incremental(bound);
-    let _ = e18_box_pruned(bound);
+    let _ = e18_box_reference(bound);
     let (incremental_secs, incremental_result) =
         time_repeats(repeats, || e19_box_incremental(bound));
-    let (baseline_secs, baseline_result) = time_repeats(repeats, || e18_box_pruned(bound));
+    let (reference_secs, reference_result) = time_repeats(repeats, || e18_box_reference(bound));
     assert!(
         incremental_result.is_none(),
         "the max CRN must pass the whole box for the verdict count to be exact"
     );
     (
         verdicts / incremental_secs,
-        verdicts / baseline_secs,
-        baseline_secs / incremental_secs,
-        incremental_result == baseline_result,
+        verdicts / reference_secs,
+        reference_secs / incremental_secs,
+        incremental_result == reference_result,
     )
 }
 
@@ -1071,10 +1022,8 @@ mod tests {
 
     #[test]
     fn e18_box_check_engines_are_bit_identical() {
-        let (pruned_vps, reference_vps, speedup, identical) = e18_box_check(2, 1);
-        assert!(identical, "pruned and reference box verdicts diverged");
-        assert!(pruned_vps > 0.0 && reference_vps > 0.0 && speedup > 0.0);
-        // And on a failing box the pruned scan picks the same first failure.
+        assert_eq!(e19_box_incremental(3), e18_box_reference(3));
+        // And on a failing box the default scan picks the same first failure.
         let min = examples::min_crn();
         let pruned =
             crn_model::check_on_box_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1).unwrap();
@@ -1086,19 +1035,19 @@ mod tests {
 
     #[test]
     fn e19_box_check_engines_are_bit_identical() {
-        let (incremental_vps, baseline_vps, speedup, identical) = e19_box_check(2, 1);
-        assert!(identical, "incremental and baseline box verdicts diverged");
-        assert!(incremental_vps > 0.0 && baseline_vps > 0.0 && speedup > 0.0);
+        let (incremental_vps, reference_vps, speedup, identical) = e19_box_check(2, 1);
+        assert!(identical, "incremental and reference box verdicts diverged");
+        assert!(incremental_vps > 0.0 && reference_vps > 0.0 && speedup > 0.0);
         // And on a failing box the incremental scan picks the same first
         // failure, byte for byte — through the symmetry-replay path (min is
         // input-symmetric, so the box is orbit-reduced).
         let min = examples::min_crn();
         let incremental =
             crn_model::check_on_box_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1).unwrap();
-        let baseline =
-            crn_model::check_on_box_baseline_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1)
+        let reference =
+            crn_model::check_on_box_reference_with_workers(&min, |x| x[0].max(x[1]), 2, 100_000, 1)
                 .unwrap();
-        assert_eq!(incremental, baseline);
+        assert_eq!(incremental, reference);
     }
 
     #[test]

@@ -2,8 +2,8 @@
 
 use crn_model::reachability::oracle::{check_on_box_naive, check_on_box_naive_stats};
 use crn_model::{
-    check_on_box, check_on_box_baseline, check_on_box_baseline_stats, check_on_box_reference,
-    check_on_box_reference_stats, check_on_box_stats, BoxCheckStats,
+    check_on_box, check_on_box_reference, check_on_box_reference_stats, check_on_box_stats,
+    BoxCheckStats,
 };
 use crn_sim::runner::spot_check_on_box;
 
@@ -11,8 +11,11 @@ use crate::args::Args;
 use crate::commands::{load_or_usage, resolve_target, usage_error, EXIT_OK, EXIT_VERDICT};
 use crate::json::Json;
 
+/// The exhaustive backends `--engine` accepts, the default first.
+pub const ENGINES: [&str; 3] = ["incremental", "reference", "seed"];
+
 /// Runs `crn verify <file> [--item NAME] [--bound N] [--max-configs N]
-/// [--engine incremental|baseline|reference|seed] [--stats] [--spot]
+/// [--engine incremental|reference|seed] [--stats] [--spot]
 /// [--max-steps N] [--seed S] [--json] [--deny-warnings]`.
 ///
 /// For each `crn` item with a `computes` link (or the named one), checks
@@ -21,20 +24,19 @@ use crate::json::Json;
 /// seeded stochastic spot checks with `--spot` (for CRNs whose reachable
 /// space outgrows `--max-configs`).
 ///
-/// `--engine` selects the exhaustive backend: `incremental` (default) runs
-/// the incremental box engine (symmetry orbits, cross-point memoization),
-/// `baseline` (alias `pruned`) the analysis-pruned engine without the
-/// incremental layers, `reference` the unpruned hash-interned engine and
-/// `seed` the naive fixpoint oracle — all must produce identical verdicts,
-/// which the CI corpus smoke step cross-checks.  `--engine` is meaningless
-/// under `--spot` and refused there.
+/// `--engine` selects the exhaustive backend (one of [`ENGINES`]):
+/// `incremental` (default) runs the incremental box engine (symmetry orbits,
+/// static verdicts, analyzed exploration), `reference` the unpruned
+/// hash-interned engine and `seed` the naive fixpoint oracle — all must
+/// produce identical verdicts, which the CI corpus smoke step cross-checks.
+/// `--engine` is meaningless under `--spot` and refused there.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
-/// as JSON — points checked versus statically decided, cache-served or
-/// symmetry-replayed, cache hit rate, explored configurations — and, with
-/// `--json`, attaches the same object to the item's report.  Every exhaustive
-/// engine supports it; counters a backend does not track (e.g. the seed
-/// oracle's cache fields) simply stay zero.  It is refused under `--spot`,
+/// as JSON — points checked versus statically decided or symmetry-replayed,
+/// explored configurations — and, with `--json`, attaches the same object to
+/// the item's report.  Every exhaustive engine supports it; counters a
+/// backend does not track (e.g. the seed oracle's symmetry skips, and every
+/// engine's retired cache fields) stay zero.  It is refused under `--spot`,
 /// which never runs a box sweep.
 ///
 /// Structural lint findings on the verified items are echoed to stderr in
@@ -72,13 +74,12 @@ pub fn run(raw: &[String]) -> i32 {
             return usage_error(&m)
         }
     };
-    let engine = args.value("engine").unwrap_or("incremental");
-    if !matches!(
-        engine,
-        "incremental" | "baseline" | "pruned" | "reference" | "seed"
-    ) {
+    let engine = args.value("engine").unwrap_or(ENGINES[0]);
+    if !ENGINES.contains(&engine) {
+        let names: Vec<String> = ENGINES.iter().map(|e| format!("`{e}`")).collect();
         return usage_error(&format!(
-            "unknown engine `{engine}`; expected `incremental`, `baseline`, `reference` or `seed`"
+            "unknown engine `{engine}`; expected one of {}",
+            names.join(", ")
         ));
     }
     if args.value("engine").is_some() && args.switch("spot") {
@@ -202,9 +203,6 @@ pub fn run(raw: &[String]) -> i32 {
                         check_on_box_reference_stats(&lowered.crn, eval, bound, max_configs)
                     }
                     "seed" => check_on_box_naive_stats(&lowered.crn, eval, bound, max_configs),
-                    "baseline" | "pruned" => {
-                        check_on_box_baseline_stats(&lowered.crn, eval, bound, max_configs)
-                    }
                     _ => check_on_box_stats(&lowered.crn, eval, bound, max_configs),
                 };
                 stats = Some(sweep_stats);
@@ -213,9 +211,6 @@ pub fn run(raw: &[String]) -> i32 {
                 match engine {
                     "reference" => check_on_box_reference(&lowered.crn, eval, bound, max_configs),
                     "seed" => check_on_box_naive(&lowered.crn, eval, bound, max_configs),
-                    "baseline" | "pruned" => {
-                        check_on_box_baseline(&lowered.crn, eval, bound, max_configs)
-                    }
                     _ => check_on_box(&lowered.crn, eval, bound, max_configs),
                 }
             };

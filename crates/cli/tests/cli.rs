@@ -265,7 +265,7 @@ fn verify_engines_agree_and_honor_deny_warnings() {
     // Every exhaustive backend passes with byte-identical stdout, and the
     // C003 finding lands on stderr without touching the exit code.
     let mut stdouts = Vec::new();
-    for engine in ["incremental", "baseline", "pruned", "reference", "seed"] {
+    for engine in ["incremental", "reference", "seed"] {
         let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "3", "--engine", engine]);
         assert_eq!(code, 0, "--engine {engine}\n{stdout}\n{stderr}");
         assert!(stderr.contains("warning[C003]"), "{stderr}");
@@ -279,11 +279,37 @@ fn verify_engines_agree_and_honor_deny_warnings() {
     let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "3", "--deny-warnings"]);
     assert_eq!(code, 1, "{stdout}\n{stderr}");
     assert!(stdout.contains("ok (exhaustive)"), "{stdout}");
-    // An unknown engine and --engine under --spot are usage errors.
-    let (code, _, _) = run_crn(&["verify", path, "--engine", "frobnicate"]);
-    assert_eq!(code, 2);
+    // An unknown engine and --engine under --spot are usage errors; so are
+    // the retired `baseline` engine and its `pruned` alias.
+    for engine in ["frobnicate", "baseline", "pruned"] {
+        let (code, _, stderr) = run_crn(&["verify", path, "--engine", engine]);
+        assert_eq!(code, 2, "--engine {engine}\n{stderr}");
+        assert!(stderr.contains("unknown engine"), "{stderr}");
+    }
     let (code, _, _) = run_crn(&["verify", path, "--spot", "--engine", "seed"]);
     assert_eq!(code, 2);
+}
+
+/// The engines `crn --help` advertises are exactly the ones `crn verify`
+/// accepts.
+#[test]
+fn help_lists_exactly_the_verify_engines() {
+    let (code, stdout, _) = run_crn(&["--help"]);
+    assert_eq!(code, 0);
+    let listed: Vec<&str> = stdout
+        .split("[--engine ")
+        .nth(1)
+        .and_then(|rest| rest.split(']').next())
+        .unwrap_or_else(|| panic!("--help lists no engines:\n{stdout}"))
+        .split('|')
+        .collect();
+    assert_eq!(listed, crn_cli::commands::verify::ENGINES);
+    let path = scratch("help_engines.crn", VALID_DOC);
+    let path = path.to_str().unwrap();
+    for engine in &listed {
+        let (code, stdout, stderr) = run_crn(&["verify", path, "--bound", "2", "--engine", engine]);
+        assert_eq!(code, 0, "--engine {engine}\n{stdout}\n{stderr}");
+    }
 }
 
 #[test]
@@ -306,10 +332,35 @@ fn verify_stats_reports_engine_counters() {
     assert_eq!(code, 0, "{stdout}");
     assert!(stdout.contains("\"stats\":{\"points\":16"), "{stdout}");
     // Every exhaustive backend reports its counters (ones it does not track
-    // stay zero); only the spot checker has no box sweep to describe.
-    let (code, _, stderr) = run_crn(&["verify", path, "--stats", "--engine", "reference"]);
+    // stay zero); only the spot checker has no box sweep to describe.  The
+    // reference engine explores every point in full, so its configuration
+    // count is the sum of the per-point reachable-set sizes.
+    let (code, _, stderr) = run_crn(&[
+        "verify",
+        path,
+        "--bound",
+        "3",
+        "--stats",
+        "--engine",
+        "reference",
+    ]);
     assert_eq!(code, 0, "{stderr}");
     assert!(stderr.contains("\"symmetry_skipped\":0"), "{stderr}");
+    let doc = crn_lang::lower_document(&crn_lang::parse(WARNING_DOC).unwrap()).unwrap();
+    let max = &doc.crns[0].1.crn;
+    let reachable: usize = crn_numeric::NVec::box_iter(2, 3)
+        .map(|x| {
+            let expected = x[0].max(x[1]);
+            crn_model::check_stable_computation(max, &x, expected, 200_000)
+                .unwrap()
+                .reachable_configurations
+        })
+        .sum();
+    assert!(reachable > 0);
+    assert!(
+        stderr.contains(&format!("\"configs_explored\":{reachable},")),
+        "reference must report {reachable} configurations:\n{stderr}"
+    );
     let (code, _, _) = run_crn(&["verify", path, "--stats", "--spot"]);
     assert_eq!(code, 2);
 }

@@ -127,7 +127,7 @@ fn profile_table_comes_after_every_lint_warning() {
 #[test]
 fn stats_works_under_every_exhaustive_engine() {
     let path = scratch("profile_stats.crn", DOUBLE_DOC);
-    for engine in ["incremental", "baseline", "pruned", "reference", "seed"] {
+    for engine in ["incremental", "reference", "seed"] {
         let (code, _, stderr) = run_crn(&[
             "verify", &path, "--bound", "3", "--engine", engine, "--stats",
         ]);

@@ -71,8 +71,7 @@ pub use crn::Crn;
 pub use error::CrnError;
 pub use function::{FunctionCrn, Roles};
 pub use reachability::{
-    check_on_box, check_on_box_baseline, check_on_box_baseline_stats,
-    check_on_box_baseline_with_workers, check_on_box_reference, check_on_box_reference_stats,
+    check_on_box, check_on_box_reference, check_on_box_reference_stats,
     check_on_box_reference_with_workers, check_on_box_stats, check_on_box_with_stats,
     check_on_box_with_workers, check_stable_computation, max_output_reachable,
     reachable_configurations, target_reachable, target_reachable_exhaustive, BoxCheckStats,

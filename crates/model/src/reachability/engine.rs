@@ -1,16 +1,13 @@
-//! The breadth-first exploration core and the reusable verdict engine.
+//! The one breadth-first exploration kernel and the reusable verdict engine.
 //!
-//! [`ExploreState`] is the single implementation of bounded BFS over dense
-//! configurations; [`ReachabilityGraph::explore`] runs it once and takes the
-//! arena and CSR structure, while [`VerdictEngine`] keeps the state (plus the
-//! compiled reactions and Tarjan scratch) alive so that checking a whole box
-//! of inputs performs only a handful of allocations per verdict instead of
-//! rebuilding every data structure from scratch.
-//!
-//! [`ReachabilityGraph::explore`]: super::ReachabilityGraph::explore
+//! [`explore`] is the only exploration loop of the crate.  It is
+//! monomorphized over a [`StateIndex`] — [`HashIndex`], [`BoxCodeIndex`],
+//! [`PackedIndex`] or [`DenseIndex`] — and a [`Sink`]: [`Edges`] builds the
+//! CSR that [`Condensation`] decides on, and [`TerminalScan`] decides
+//! certified-acyclic CRNs on the fly.  [`VerdictEngine`] keeps the buffers
+//! alive across the points of a box sweep.
 
 use crn_sync::Arc;
-use std::collections::HashMap;
 
 use crn_numeric::NVec;
 
@@ -18,16 +15,15 @@ use crate::analysis::{
     conservation_basis, nonnegative_t_semiflows, t_invariant_basis, ConservationLaw,
     CountIntervals, Liveness, SpeciesBounds, Stoichiometry, FARKAS_ROW_CAP,
 };
-use crate::compiled::CompiledCrn;
+use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
 use crate::function::FunctionCrn;
 
 use super::arena::ConfigArena;
 use super::csr::CsrGraph;
-use super::memo::{MemoCache, SetId, SharedLog, Summary, EMPTY_SET};
 use super::scc::Condensation;
 use super::symmetry;
-use super::{BoxCheckStats, ReachabilityLimits, StableComputationVerdict};
+use super::StableComputationVerdict;
 
 /// Largest interval-box volume for which the engine switches from hash
 /// interning to the mixed-radix code index.  The only hard requirement is
@@ -35,7 +31,7 @@ use super::{BoxCheckStats, ReachabilityLimits, StableComputationVerdict};
 /// arithmetic comfortably clear of overflow.
 const DIRECT_INDEX_CAP: u128 = 1 << 62;
 
-/// The point-independent static-analysis artifacts of a pruned engine:
+/// The point-independent static-analysis artifacts of an analyzed engine:
 /// monotone potential bounds, the signed conservation-law basis, and the
 /// T-invariant acyclicity certificate.
 pub(super) struct BoxAnalysis {
@@ -139,7 +135,7 @@ const LANE_HIGH: u64 = 0x8080_8080_8080_8080;
 /// lane then stays in `[0, 127]`, additions never carry between lanes, and
 /// the packed value *is* a perfect mixed-radix code (radix 256, lower bound
 /// zero), so discovery order, deduplication and the configuration-limit
-/// error are bit-identical to the spec-coded passes.
+/// error are bit-identical to the box-code index.
 pub(super) struct PackedSpec {
     /// Per-reaction packed reactant requirements; lanes are clamped to 128,
     /// which the test below reads as "never applicable" — correct, since no
@@ -147,24 +143,23 @@ pub(super) struct PackedSpec {
     reqs: Vec<u64>,
     /// Per-reaction packed deltas in two's complement (mod 2^64).
     deltas: Vec<u64>,
-    /// Bit shift of the output species' lane.
-    out_shift: u32,
     /// Mixed-radix place values of the *dense* hull code (radix
-    /// `upper + 1` per species), when the hull volume fits
-    /// [`DENSE_VISITED_CAP`]; empty otherwise.  With a dense code every
-    /// dedup probe is a single epoch-stamped array load instead of a hash
-    /// chain, and the code itself is maintained incrementally.
+    /// `upper + 1` per non-pivot species).  With a dense code every dedup
+    /// probe is a single array load instead of a hash chain, and the code
+    /// itself is maintained incrementally.
     dense_place: Vec<u64>,
     /// Per-reaction dense-code deltas in two's complement — firing reaction
     /// `r` moves the dense code by one `wrapping_add`.
     dense_deltas: Vec<u64>,
-    /// Hull volume (the dense-code range); `0` disables the dense path.
+    /// Hull volume (the dense-code range) when it fits
+    /// [`DENSE_VISITED_CAP`]; `0` disables the dense code and leaves the two
+    /// fields above meaningless.
     dense_volume: usize,
 }
 
-/// Largest hull volume the packed pass tracks with a dense visited-stamp
-/// table (u32 stamps, so 8 MiB of reusable scratch at the cap); bigger
-/// hulls fall back to the hashed [`CodeIndex`].
+/// Largest hull volume the [`DenseIndex`] tracks with its stamp table (u32
+/// stamps, so 8 MiB of reusable scratch at the cap); bigger hulls take the
+/// [`PackedIndex`].
 const DENSE_VISITED_CAP: usize = 1 << 21;
 
 /// Marks one species per independent conservation law — the pivot columns
@@ -220,7 +215,6 @@ impl PackedSpec {
         compiled: &CompiledCrn,
         laws: &[ConservationLaw],
         stride: usize,
-        out_idx: usize,
     ) -> Option<PackedSpec> {
         if stride > 8 {
             return None;
@@ -252,9 +246,6 @@ impl PackedSpec {
                 }
             };
         }
-        if volume == 0 {
-            dense_place.clear();
-        }
         let mut reqs = Vec::with_capacity(compiled.reaction_count());
         let mut deltas = Vec::with_capacity(compiled.reaction_count());
         let mut dense_deltas = Vec::with_capacity(compiled.reaction_count());
@@ -277,13 +268,9 @@ impl PackedSpec {
             deltas.push(delta);
             dense_deltas.push(dense_delta);
         }
-        if dense_place.is_empty() {
-            dense_deltas.clear();
-        }
         Some(PackedSpec {
             reqs,
             deltas,
-            out_shift: u32::try_from(8 * out_idx).expect("output lane within 8 species"),
             dense_place,
             dense_deltas,
             dense_volume: volume,
@@ -313,6 +300,22 @@ impl PackedSpec {
     }
 }
 
+/// Whether a reaction with packed requirements `req` can fire in the packed
+/// configuration `word`.
+fn fires(word: u64, req: u64) -> bool {
+    // Lane-wise `word >= req`: with every count lane in [0, 127] and
+    // requirement lanes clamped to 128, `(word | HIGH) - req` never borrows
+    // across lanes, and a lane's high bit survives exactly when its count
+    // meets the requirement.
+    let gap = (word | LANE_HIGH).wrapping_sub(req);
+    gap & LANE_HIGH == LANE_HIGH
+}
+
+/// The count of species `s` in the packed configuration `word`.
+fn lane(word: u64, s: usize) -> u64 {
+    (word >> (8 * s)) & 0xff
+}
+
 /// The SplitMix64 finalizer: a full-avalanche mix of one word, so
 /// lexicographically adjacent codes spread across the slot table.
 fn mix_code(code: u64) -> u64 {
@@ -322,24 +325,11 @@ fn mix_code(code: u64) -> u64 {
     z ^ (z >> 31)
 }
 
-/// Per-configuration record of the direct (code-indexed) exploration: the
-/// mixed-radix code plus the duplicate-edge stamp, deliberately in one
-/// struct so the probe's code confirmation and the edge-dedup check touch
-/// the same cache line.
-#[derive(Clone, Copy)]
-struct DirectNode {
-    code: u64,
-    /// Id of the last expanding node that emitted an edge to this one;
-    /// `u32::MAX` = none yet (ids are capped below `u32::MAX` by the index).
-    last_emit: u32,
-}
-
-/// An open-addressing index over mixed-radix codes: like the arena's hash
-/// index, but keyed by one u64 code per configuration instead of the full
-/// count vector, so memory stays proportional to the *reachable* set (cache
-/// resident) rather than the interval box, and every probe compares a single
-/// word.  Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells, so
-/// resetting between the points of a box sweep is O(1) — no memset of a
+/// An open-addressing index over `u64` keys — mixed-radix codes or packed
+/// configurations — held outside the table in a per-id key array, so memory
+/// stays proportional to the *reachable* set and every probe compares a
+/// single word.  Slots are epoch-stamped `(epoch << 32) | (id + 1)` cells,
+/// so resetting between the points of a box sweep is O(1): no memset of a
 /// table sized for the sweep's biggest point.
 struct CodeIndex {
     slots: Vec<u64>,
@@ -357,18 +347,10 @@ impl CodeIndex {
     /// Empties the index, keeping the allocation: stale slots are recognized
     /// by their epoch stamp.
     fn reset(&mut self) {
-        match self.epoch.checked_add(1) {
-            Some(e) => self.epoch = e,
-            None => {
-                self.slots.iter_mut().for_each(|s| *s = 0);
-                self.epoch = 1;
-            }
-        }
-    }
-
-    fn stamp(&self, id: usize) -> u64 {
-        let id = u32::try_from(id).expect("explorations stay below 2^32 - 1 configurations");
-        (u64::from(self.epoch) << 32) | u64::from(id + 1)
+        self.epoch = self.epoch.checked_add(1).unwrap_or_else(|| {
+            self.slots.fill(0);
+            1
+        });
     }
 
     /// The live id in `slot`, if any.
@@ -381,968 +363,599 @@ impl CodeIndex {
         }
     }
 
-    /// The arena id of `code`, if present; `nodes` is the per-id record
-    /// store.
-    fn lookup(&self, code: u64, nodes: &[DirectNode]) -> Option<usize> {
-        self.lookup_by(code, |id| nodes[id].code)
-    }
-
-    /// Inserts `id` for its code (which the caller has established is absent
-    /// and already pushed as the last entry of `nodes`).
-    fn insert(&mut self, id: usize, nodes: &[DirectNode]) {
-        self.insert_by(id, nodes.len(), |id| nodes[id].code);
-    }
-
-    /// [`lookup`](CodeIndex::lookup) generalized over the id → code mapping,
-    /// so passes that store codes outside a [`DirectNode`] array (the packed
-    /// exploration keeps whole configurations as bare `u64`s) share the same
-    /// probe sequence.
-    fn lookup_by(&self, code: u64, code_of: impl Fn(usize) -> u64) -> Option<usize> {
+    /// The id whose key is `key`, if present.
+    #[inline]
+    fn lookup(&self, key: u64, keys: &[u64]) -> Option<usize> {
         let mask = self.slots.len() - 1;
-        let mut slot = (mix_code(code) as usize) & mask;
+        let mut slot = (mix_code(key) as usize) & mask;
         loop {
             match self.occupant(slot) {
                 None => return None,
-                Some(id) if code_of(id) == code => return Some(id),
+                Some(id) if keys[id] == key => return Some(id),
                 Some(_) => slot = (slot + 1) & mask,
             }
         }
     }
 
-    /// [`insert`](CodeIndex::insert) generalized like
-    /// [`lookup_by`](CodeIndex::lookup_by); `len` is the number of live ids
-    /// (`id` being the newest).
-    fn insert_by(&mut self, id: usize, len: usize, code_of: impl Fn(usize) -> u64) {
+    /// Indexes the newest id, `keys.len() - 1`, whose key the caller has
+    /// established is absent.
+    #[inline]
+    fn insert(&mut self, keys: &[u64]) {
         // Grow at 1/2 load: probes run on the seen-successor fast path, so
         // short chains are worth the memory.
-        if len * 2 > self.slots.len() {
-            self.grow_by(len, &code_of);
+        if keys.len() * 2 > self.slots.len() {
+            self.grow(keys);
         } else {
-            self.place_by(id, &code_of);
+            self.place(keys.len() - 1, keys);
         }
     }
 
-    fn grow_by(&mut self, len: usize, code_of: &impl Fn(usize) -> u64) {
+    fn grow(&mut self, keys: &[u64]) {
         let new_len = self.slots.len() * 2;
         self.slots.clear();
         self.slots.resize(new_len, 0);
-        for id in 0..len {
-            self.place_by(id, code_of);
+        for id in 0..keys.len() {
+            self.place(id, keys);
         }
     }
 
-    fn place_by(&mut self, id: usize, code_of: &impl Fn(usize) -> u64) {
+    #[inline]
+    fn place(&mut self, id: usize, keys: &[u64]) {
         let mask = self.slots.len() - 1;
-        let mut slot = (mix_code(code_of(id)) as usize) & mask;
+        let mut slot = (mix_code(keys[id]) as usize) & mask;
         while self.occupant(slot).is_some() {
             slot = (slot + 1) & mask;
         }
-        self.slots[slot] = self.stamp(id);
+        let stamp = u32::try_from(id + 1).expect("explorations stay below 2^32 - 1 configurations");
+        self.slots[slot] = (u64::from(self.epoch) << 32) | u64::from(stamp);
     }
 }
 
-/// Reusable storage for one breadth-first exploration: the configuration
-/// arena, the CSR successor structure being built, and the per-node scratch.
-pub(super) struct ExploreState {
-    pub(super) arena: ConfigArena,
-    pub(super) csr: CsrGraph,
-    /// Stamp of the last expanding node that emitted an edge to each id:
-    /// O(1) duplicate-edge suppression with no per-node scans.
-    last_emit: Vec<usize>,
-    cur: Vec<u64>,
-    succ: Vec<u64>,
-    /// Direct-mode state: the code-keyed index and the per-arena-id records.
-    direct: CodeIndex,
-    nodes: Vec<DirectNode>,
-    // Fused-decision scratch (`run_decide_direct`): flat successor rows and
-    // the inline-Tarjan arrays, kept so repeated decisions allocate nothing.
-    edges: Vec<u32>,
-    rows: Vec<(u32, u32)>,
-    t_index: Vec<usize>,
-    t_lowlink: Vec<usize>,
-    t_onstack: Vec<bool>,
-    t_comp: Vec<usize>,
-    t_stack: Vec<usize>,
-    t_frames: Vec<(usize, usize)>,
-    dp_max: Vec<u64>,
-    dp_min: Vec<u64>,
-    dp_rec: Vec<bool>,
-    // Packed-mode state (`run_decide_packed_dag`): whole configurations as
-    // byte-packed words, indexed by the same code table — or, on small
-    // hulls, by the epoch-stamped dense visited table below.
-    pk: Vec<u64>,
-    pk_code: Vec<u64>,
-    visited: Vec<u32>,
-    visited_epoch: u32,
-    // Memo-mode scratch (`run_decide_memo`): per-component interned output
-    // sets and closure-size bounds, plus the per-run cache-hit table virtual
-    // edges point into.
-    dp_so: Vec<SetId>,
-    dp_rset: Vec<SetId>,
-    dp_size: Vec<u64>,
-    hit_list: Vec<Summary>,
-    hit_emit: Vec<u32>,
-    hit_ids: HashMap<u64, u32>,
+/// How the kernel stores, loads and deduplicates configurations.  Ids are
+/// discovery order and the start configuration is id 0.
+///
+/// Implementations mark their per-reaction methods `#[inline]`: left to
+/// itself the compiler kept `probe` out of line, which cost the packed
+/// decision about 10% of its throughput on the `max` box.
+trait StateIndex {
+    /// The configuration being expanded, as [`load`](StateIndex::load)
+    /// hands it to the kernel: a value the kernel keeps in registers (the
+    /// packed word, or the code of counts loaded into scratch).
+    type Loaded: Copy;
+    /// What a missed [`probe`](StateIndex::probe) hands to
+    /// [`insert`](StateIndex::insert), so the successor is computed once.
+    type Key: Copy;
+    /// What names a stored successor to the sink: its id, or `()` for an
+    /// index that keeps no id table.
+    type Id: Copy;
+    fn len(&self) -> usize;
+    /// Makes configuration `id` the one being expanded.
+    fn load(&mut self, id: usize) -> Self::Loaded;
+    fn reaction_count(&self) -> usize;
+    /// Whether reaction `r` can fire in `cur`.
+    fn applicable(&self, cur: Self::Loaded, r: usize) -> bool;
+    /// The id of the successor of `cur` under the applicable reaction `r`
+    /// if it is stored, or its key if it is new.
+    fn probe(&mut self, cur: Self::Loaded, r: usize) -> Result<Self::Id, Self::Key>;
+    /// Stores the new successor of `cur` under `r` and returns its id.
+    fn insert(&mut self, cur: Self::Loaded, r: usize, key: Self::Key) -> Self::Id;
+    /// The count of species `s` in `cur`.
+    fn count(&self, cur: Self::Loaded, s: usize) -> u64;
 }
 
-/// Marker for a vertex the fused decision pass has not visited yet.
-const UNVISITED: usize = usize::MAX;
+/// What the kernel records while it explores, from an index naming
+/// configurations by `Id`.
+trait Sink<Id> {
+    /// An edge from the configuration being expanded, `from`, to `to`.
+    fn edge(&mut self, from: usize, to: Id);
+    /// Closes the expansion of `cur`, which is `terminal` when no reaction
+    /// applies.  `false` stops the exploration.
+    fn seal<I: StateIndex>(&mut self, index: &I, cur: I::Loaded, terminal: bool) -> bool;
+}
 
-/// High bit of a memo-mode edge: set when the edge points into the per-run
-/// cache-hit table instead of at a materialized vertex.
-const VIRTUAL_EDGE: u32 = 1 << 31;
+/// The exploration kernel: expands configurations in id (= breadth-first
+/// discovery) order and reports every applicable reaction's successor and
+/// every closed expansion to `sink`.
+///
+/// Returns `Ok(true)` once the reachable set is exhausted, `Ok(false)` when
+/// the sink stops early, and [`CrnError::SearchLimitExceeded`] iff the
+/// reachable set exceeds `max_configurations` (an early stop may pre-empt
+/// it).  Every outcome adds the number of stored configurations to
+/// `explored`.
+fn explore<I: StateIndex>(
+    index: &mut I,
+    sink: &mut impl Sink<I::Id>,
+    max_configurations: usize,
+    explored: &mut u64,
+) -> Result<bool, CrnError> {
+    let outcome = 'bfs: {
+        let mut current = 0usize;
+        while current < index.len() {
+            let cur = index.load(current);
+            let mut terminal = true;
+            for r in 0..index.reaction_count() {
+                if !index.applicable(cur, r) {
+                    continue;
+                }
+                terminal = false;
+                let id = match index.probe(cur, r) {
+                    Ok(id) => id,
+                    Err(key) => {
+                        if index.len() >= max_configurations {
+                            break 'bfs Err(CrnError::SearchLimitExceeded {
+                                limit: format!("{max_configurations} reachable configurations"),
+                            });
+                        }
+                        index.insert(cur, r, key)
+                    }
+                };
+                sink.edge(current, id);
+            }
+            if !sink.seal(index, cur, terminal) {
+                break 'bfs Ok(false);
+            }
+            current += 1;
+        }
+        Ok(true)
+    };
+    *explored += u64::try_from(index.len()).expect("usize fits u64");
+    outcome
+}
 
-/// A materialized vertex id as a memo-mode edge word.
-fn real_edge(id: usize) -> u32 {
-    let id = u32::try_from(id).expect("ids fit u32 (index cap)");
-    assert!(
-        id & VIRTUAL_EDGE == 0,
-        "memo explorations stay below 2^31 configurations"
-    );
-    id
+/// The buffers behind every [`StateIndex`], reused across explorations so a
+/// box sweep allocates almost nothing per point.
+pub(super) struct Store {
+    /// Count vectors of the hash and box-code indexes.
+    pub(super) arena: ConfigArena,
+    /// Per-id key of the box-code and packed indexes: the mixed-radix code,
+    /// or the packed configuration itself.
+    keys: Vec<u64>,
+    /// The hashed dedup over `keys`.
+    table: CodeIndex,
+    /// Per-id dense hull code of the [`DenseIndex`].
+    dense: Vec<u64>,
+    /// The [`DenseIndex`] table: a slot holds the current `epoch` exactly
+    /// when its dense code is stored.
+    stamps: Vec<u32>,
+    epoch: u32,
+    /// The loaded configuration's counts and the successor scratch.
+    cur: Vec<u64>,
+    succ: Vec<u64>,
+}
+
+impl Store {
+    fn new() -> Self {
+        Store {
+            arena: ConfigArena::new(0),
+            keys: Vec::new(),
+            table: CodeIndex::new(),
+            dense: Vec::new(),
+            stamps: Vec::new(),
+            epoch: 0,
+            cur: Vec::new(),
+            succ: Vec::new(),
+        }
+    }
+
+    /// Empties the arena for `stride` species and sizes the count scratch.
+    fn reset_counts(&mut self, stride: usize) {
+        self.arena.reset(stride);
+        self.cur.clear();
+        self.cur.resize(stride, 0);
+        self.succ.clear();
+        self.succ.resize(stride, 0);
+    }
+}
+
+/// Count vectors in the hash-interned [`ConfigArena`]: the index of the
+/// reference engine, and of starts whose interval box is unbounded or past
+/// the code range.
+struct HashIndex<'a> {
+    arena: &'a mut ConfigArena,
+    cur: &'a mut [u64],
+    succ: &'a mut [u64],
+    reactions: &'a [CompiledReaction],
+}
+
+impl<'a> HashIndex<'a> {
+    /// Empties `store` and stores `start` (one count per species of the
+    /// stride) as id 0.
+    fn new(store: &'a mut Store, compiled: &'a CompiledCrn, start: &[u64]) -> Self {
+        store.reset_counts(start.len());
+        store.arena.insert_new(start);
+        HashIndex {
+            arena: &mut store.arena,
+            cur: &mut store.cur,
+            succ: &mut store.succ,
+            reactions: compiled.reactions(),
+        }
+    }
+}
+
+impl StateIndex for HashIndex<'_> {
+    /// The counts themselves sit in the `cur` scratch.
+    type Loaded = ();
+    type Key = ();
+    type Id = usize;
+
+    fn len(&self) -> usize {
+        self.arena.len()
+    }
+
+    fn load(&mut self, id: usize) {
+        self.cur.copy_from_slice(self.arena.get(id));
+    }
+
+    fn reaction_count(&self) -> usize {
+        self.reactions.len()
+    }
+
+    fn applicable(&self, (): (), r: usize) -> bool {
+        self.reactions[r].applicable(self.cur)
+    }
+
+    #[inline]
+    fn probe(&mut self, (): (), r: usize) -> Result<usize, ()> {
+        self.reactions[r].apply_into(self.cur, self.succ);
+        self.arena.lookup(self.succ).ok_or(())
+    }
+
+    #[inline]
+    fn insert(&mut self, (): (), _r: usize, (): ()) -> usize {
+        self.arena.insert_new(self.succ)
+    }
+
+    fn count(&self, (): (), s: usize) -> u64 {
+        self.cur[s]
+    }
+}
+
+/// Count vectors keyed by their [`DirectSpec`] code, so an already-seen
+/// successor is never materialized.  Discovery order — and therefore every
+/// id, edge and verdict — is that of the [`HashIndex`].
+struct BoxCodeIndex<'a> {
+    arena: &'a mut ConfigArena,
+    cur: &'a mut [u64],
+    succ: &'a mut [u64],
+    keys: &'a mut Vec<u64>,
+    table: &'a mut CodeIndex,
+    spec: &'a DirectSpec,
+    reactions: &'a [CompiledReaction],
+}
+
+impl<'a> BoxCodeIndex<'a> {
+    /// Empties `store` and stores `start`, which must lie inside the box of
+    /// `spec`, as id 0.
+    fn new(
+        store: &'a mut Store,
+        spec: &'a DirectSpec,
+        compiled: &'a CompiledCrn,
+        start: &[u64],
+    ) -> Self {
+        store.reset_counts(start.len());
+        store.arena.push_unindexed(start);
+        store.keys.clear();
+        store.keys.push(spec.encode(start));
+        store.table.reset();
+        store.table.insert(&store.keys);
+        BoxCodeIndex {
+            arena: &mut store.arena,
+            cur: &mut store.cur,
+            succ: &mut store.succ,
+            keys: &mut store.keys,
+            table: &mut store.table,
+            spec,
+            reactions: compiled.reactions(),
+        }
+    }
+}
+
+impl StateIndex for BoxCodeIndex<'_> {
+    /// The code; the counts sit in the `cur` scratch.
+    type Loaded = u64;
+    type Key = u64;
+    type Id = usize;
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn load(&mut self, id: usize) -> u64 {
+        self.cur.copy_from_slice(self.arena.get(id));
+        self.keys[id]
+    }
+
+    fn reaction_count(&self) -> usize {
+        self.spec.offsets.len()
+    }
+
+    fn applicable(&self, _code: u64, r: usize) -> bool {
+        let lo = self.spec.req_offsets[r] as usize;
+        let hi = self.spec.req_offsets[r + 1] as usize;
+        self.spec.reqs[lo..hi]
+            .iter()
+            .all(|&(s, c)| self.cur[s as usize] >= c)
+    }
+
+    #[inline]
+    fn probe(&mut self, code: u64, r: usize) -> Result<usize, u64> {
+        // The box bounds are sound, so the translated code stays in range.
+        let key = code.wrapping_add_signed(self.spec.offsets[r]);
+        self.table.lookup(key, self.keys).ok_or(key)
+    }
+
+    #[inline]
+    fn insert(&mut self, _code: u64, r: usize, key: u64) -> usize {
+        self.reactions[r].apply_into(self.cur, self.succ);
+        debug_assert_eq!(self.spec.encode(self.succ), key);
+        let id = self.arena.push_unindexed(self.succ);
+        self.keys.push(key);
+        self.table.insert(self.keys);
+        id
+    }
+
+    fn count(&self, _code: u64, s: usize) -> u64 {
+        self.cur[s]
+    }
+}
+
+/// Whole configurations as [`PackedSpec`] words, keying the hashed
+/// [`CodeIndex`]; no count vector is ever touched.  Membership is
+/// membership, so discovery order is that of the [`BoxCodeIndex`].
+struct PackedIndex<'a> {
+    keys: &'a mut Vec<u64>,
+    table: &'a mut CodeIndex,
+    reqs: &'a [u64],
+    deltas: &'a [u64],
+}
+
+impl<'a> PackedIndex<'a> {
+    /// Empties `store` and stores the packed `start` as id 0.
+    fn new(store: &'a mut Store, spec: &'a PackedSpec, start: u64) -> Self {
+        store.keys.clear();
+        store.keys.push(start);
+        store.table.reset();
+        store.table.insert(&store.keys);
+        PackedIndex {
+            keys: &mut store.keys,
+            table: &mut store.table,
+            reqs: &spec.reqs,
+            deltas: &spec.deltas,
+        }
+    }
+}
+
+impl StateIndex for PackedIndex<'_> {
+    /// The packed configuration.
+    type Loaded = u64;
+    type Key = u64;
+    type Id = usize;
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn load(&mut self, id: usize) -> u64 {
+        self.keys[id]
+    }
+
+    fn reaction_count(&self) -> usize {
+        self.deltas.len()
+    }
+
+    fn applicable(&self, word: u64, r: usize) -> bool {
+        fires(word, self.reqs[r])
+    }
+
+    #[inline]
+    fn probe(&mut self, word: u64, r: usize) -> Result<usize, u64> {
+        let succ = word.wrapping_add(self.deltas[r]);
+        self.table.lookup(succ, self.keys).ok_or(succ)
+    }
+
+    #[inline]
+    fn insert(&mut self, _word: u64, _r: usize, key: u64) -> usize {
+        self.keys.push(key);
+        self.table.insert(self.keys);
+        self.keys.len() - 1
+    }
+
+    fn count(&self, word: u64, s: usize) -> u64 {
+        lane(word, s)
+    }
+}
+
+/// The [`PackedIndex`] on a hull whose dense code fits
+/// [`DENSE_VISITED_CAP`]: a probe is one load from a table indexed by the
+/// incrementally maintained dense hull code.  The table holds epoch stamps
+/// rather than ids, so emptying it costs nothing; it names no configuration
+/// ([`StateIndex::Id`] is `()`) and can only feed the [`TerminalScan`].
+struct DenseIndex<'a> {
+    keys: &'a mut Vec<u64>,
+    dense: &'a mut Vec<u64>,
+    stamps: &'a mut [u32],
+    epoch: u32,
+    reqs: &'a [u64],
+    deltas: &'a [u64],
+    dense_deltas: &'a [u64],
+}
+
+impl<'a> DenseIndex<'a> {
+    /// Empties `store` and stores the packed `start` as id 0; the spec's
+    /// `dense_volume` must be nonzero.
+    fn new(store: &'a mut Store, spec: &'a PackedSpec, start: u64) -> Self {
+        if store.stamps.len() < spec.dense_volume {
+            store.stamps.resize(spec.dense_volume, 0);
+        }
+        store.epoch = store.epoch.checked_add(1).unwrap_or_else(|| {
+            store.stamps.fill(0);
+            1
+        });
+        let code = spec.dense_code(start);
+        store.stamps[usize::try_from(code).expect("dense code below the cap")] = store.epoch;
+        store.keys.clear();
+        store.keys.push(start);
+        store.dense.clear();
+        store.dense.push(code);
+        DenseIndex {
+            keys: &mut store.keys,
+            dense: &mut store.dense,
+            stamps: &mut store.stamps,
+            epoch: store.epoch,
+            reqs: &spec.reqs,
+            deltas: &spec.deltas,
+            dense_deltas: &spec.dense_deltas,
+        }
+    }
+}
+
+impl StateIndex for DenseIndex<'_> {
+    /// The packed configuration and its dense hull code.
+    type Loaded = (u64, u64);
+    type Key = usize;
+    type Id = ();
+
+    fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    fn load(&mut self, id: usize) -> (u64, u64) {
+        (self.keys[id], self.dense[id])
+    }
+
+    fn reaction_count(&self) -> usize {
+        self.deltas.len()
+    }
+
+    fn applicable(&self, (word, _): (u64, u64), r: usize) -> bool {
+        fires(word, self.reqs[r])
+    }
+
+    #[inline]
+    fn probe(&mut self, (_, code): (u64, u64), r: usize) -> Result<(), usize> {
+        let slot = usize::try_from(code.wrapping_add(self.dense_deltas[r]))
+            .expect("dense code below the cap");
+        if self.stamps[slot] == self.epoch {
+            Ok(())
+        } else {
+            Err(slot)
+        }
+    }
+
+    #[inline]
+    fn insert(&mut self, (word, _): (u64, u64), r: usize, slot: usize) {
+        self.stamps[slot] = self.epoch;
+        self.keys.push(word.wrapping_add(self.deltas[r]));
+        self.dense.push(slot as u64);
+    }
+
+    fn count(&self, (word, _): (u64, u64), s: usize) -> u64 {
+        lane(word, s)
+    }
+}
+
+/// The CSR successor structure, with duplicate edges (several reactions
+/// leading to the same successor) suppressed by an O(1) stamp per target.
+pub(super) struct Edges {
+    pub(super) csr: CsrGraph,
+    /// The last expanding configuration that emitted an edge to each id.
+    last_emit: Vec<usize>,
+}
+
+impl Edges {
+    fn new() -> Self {
+        Edges {
+            csr: CsrGraph::new(),
+            last_emit: Vec::new(),
+        }
+    }
+
+    fn reset(&mut self) {
+        self.csr.reset();
+        self.last_emit.clear();
+    }
+}
+
+impl Sink<usize> for Edges {
+    fn edge(&mut self, from: usize, to: usize) {
+        if to >= self.last_emit.len() {
+            self.last_emit.resize(to + 1, usize::MAX);
+        }
+        if self.last_emit[to] != from {
+            self.last_emit[to] = from;
+            self.csr.push_edge(to);
+        }
+    }
+
+    fn seal<I: StateIndex>(&mut self, _index: &I, _cur: I::Loaded, _terminal: bool) -> bool {
+        self.csr.seal_node();
+        true
+    }
+}
+
+/// The decision sink for a CRN whose [`BoxAnalysis`] carries the
+/// acyclicity certificate: every reachability graph is a DAG, whose sink
+/// components are the *terminal* configurations, so "every component
+/// recovers" is "every terminal configuration carries the expected output".
+/// The exploration stops at the first bad terminal.
+struct TerminalScan {
+    output: usize,
+    expected: u64,
+}
+
+impl<Id> Sink<Id> for TerminalScan {
+    fn edge(&mut self, _from: usize, _to: Id) {}
+
+    fn seal<I: StateIndex>(&mut self, index: &I, cur: I::Loaded, terminal: bool) -> bool {
+        !terminal || index.count(cur, self.output) == self.expected
+    }
+}
+
+/// One exploration's reusable state: the index buffers, the CSR sink, and
+/// the running count of stored configurations.
+pub(super) struct ExploreState {
+    pub(super) store: Store,
+    pub(super) edges: Edges,
+    /// Configurations stored across every exploration of this state.
+    explored: u64,
 }
 
 impl ExploreState {
     /// Creates empty state; every buffer grows on first use.
     pub(super) fn new() -> Self {
         ExploreState {
-            arena: ConfigArena::new(0),
-            csr: CsrGraph::new(),
-            last_emit: Vec::new(),
-            cur: Vec::new(),
-            succ: Vec::new(),
-            direct: CodeIndex::new(),
-            nodes: Vec::new(),
-            edges: Vec::new(),
-            rows: Vec::new(),
-            t_index: Vec::new(),
-            t_lowlink: Vec::new(),
-            t_onstack: Vec::new(),
-            t_comp: Vec::new(),
-            t_stack: Vec::new(),
-            t_frames: Vec::new(),
-            dp_max: Vec::new(),
-            dp_min: Vec::new(),
-            dp_rec: Vec::new(),
-            pk: Vec::new(),
-            pk_code: Vec::new(),
-            visited: Vec::new(),
-            visited_epoch: 0,
-            dp_so: Vec::new(),
-            dp_rset: Vec::new(),
-            dp_size: Vec::new(),
-            hit_list: Vec::new(),
-            hit_emit: Vec::new(),
-            hit_ids: HashMap::new(),
+            store: Store::new(),
+            edges: Edges::new(),
+            explored: 0,
         }
     }
 
-    /// Explores everything reachable from `start_dense` (a count vector of
-    /// length `stride`, which must be at least `compiled.stride()`) under
-    /// `compiled`, breadth-first.  Configuration ids are discovery order;
-    /// id 0 is the start.  Previous contents of the state are discarded,
-    /// allocations are kept.
-    ///
-    /// On success `self.arena` holds the reachable configurations and
-    /// `self.csr` their successor structure.
+    /// Explores everything reachable from `start_dense` (one count per
+    /// species of the stride, which must cover `compiled.stride()`) into the
+    /// CSR sink, through the box-code index of `spec` when given and the
+    /// hash index otherwise.  On success `self.store.arena` holds the
+    /// reachable configurations, id 0 being the start, and `self.edges.csr`
+    /// their successor structure.
     pub(super) fn run(
         &mut self,
         compiled: &CompiledCrn,
-        stride: usize,
         start_dense: &[u64],
-        limits: ReachabilityLimits,
+        spec: Option<&DirectSpec>,
+        max_configurations: usize,
     ) -> Result<(), CrnError> {
-        self.arena.reset(stride);
-        self.csr.reset();
-        self.last_emit.clear();
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-
-        self.arena.insert_new(start_dense);
-        self.last_emit.push(usize::MAX);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            for reaction in compiled.reactions() {
-                if !reaction.applicable(&self.cur) {
-                    continue;
-                }
-                reaction.apply_into(&self.cur, &mut self.succ);
-                let id = match self.arena.lookup(&self.succ) {
-                    Some(id) => id,
-                    None => {
-                        if self.arena.len() >= limits.max_configurations {
-                            return Err(CrnError::SearchLimitExceeded {
-                                limit: format!(
-                                    "{} reachable configurations",
-                                    limits.max_configurations
-                                ),
-                            });
-                        }
-                        self.last_emit.push(usize::MAX);
-                        self.arena.insert_new(&self.succ)
-                    }
-                };
-                if self.last_emit[id] != current {
-                    self.last_emit[id] = current;
-                    self.csr.push_edge(id);
-                }
+        self.edges.reset();
+        let (store, edges, explored) = (&mut self.store, &mut self.edges, &mut self.explored);
+        match spec {
+            Some(spec) => {
+                let mut index = BoxCodeIndex::new(store, spec, compiled, start_dense);
+                explore(&mut index, edges, max_configurations, explored)?
             }
-            self.csr.seal_node();
-            current += 1;
-        }
-        Ok(())
-    }
-
-    /// [`run`](ExploreState::run) over a proven interval box: successor
-    /// identity is one integer addition plus a single-word probe instead of
-    /// materializing and hashing the count vector, and already-seen
-    /// successors skip `apply_into` entirely.  The BFS discovery order — and
-    /// therefore every id, edge and verdict — is identical to the hash-mode
-    /// exploration.
-    pub(super) fn run_direct(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-    ) -> Result<(), CrnError> {
-        self.arena.reset(stride);
-        self.csr.reset();
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            let cur_code = self.nodes[current].code;
-            let cur_stamp = u32::try_from(current).expect("ids fit u32 (index cap)");
-            for r in 0..spec.offsets.len() {
-                let lo = spec.req_offsets[r] as usize;
-                let hi = spec.req_offsets[r + 1] as usize;
-                if spec.reqs[lo..hi]
-                    .iter()
-                    .any(|&(s, c)| self.cur[s as usize] < c)
-                {
-                    continue;
-                }
-                // The successor's code without materializing its counts: the
-                // box bounds are sound, so the translated code stays in range.
-                let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                let id = match self.direct.lookup(succ_code, &self.nodes) {
-                    Some(id) => id,
-                    None => {
-                        if self.arena.len() >= limits.max_configurations {
-                            return Err(CrnError::SearchLimitExceeded {
-                                limit: format!(
-                                    "{} reachable configurations",
-                                    limits.max_configurations
-                                ),
-                            });
-                        }
-                        compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                        debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                        let id = self.arena.push_unindexed(&self.succ);
-                        self.nodes.push(DirectNode {
-                            code: succ_code,
-                            last_emit: u32::MAX,
-                        });
-                        self.direct.insert(id, &self.nodes);
-                        id
-                    }
-                };
-                if self.nodes[id].last_emit != cur_stamp {
-                    self.nodes[id].last_emit = cur_stamp;
-                    self.csr.push_edge(id);
-                }
-            }
-            self.csr.seal_node();
-            current += 1;
-        }
-        Ok(())
-    }
-
-    /// The decision pass for a CRN whose [`BoxAnalysis`] carries the
-    /// T-invariant acyclicity certificate: every reachability graph is a
-    /// DAG, so all strongly connected components are singletons and the sink
-    /// components are exactly the *terminal* configurations (no applicable
-    /// reaction).  "Every component recovers" then collapses to "every
-    /// terminal configuration carries the expected output" — checked inline
-    /// during the BFS itself, with no successor structure, no condensation
-    /// and no separate decision traversal at all.
-    ///
-    /// Returns `false` as soon as a bad terminal is expanded (possibly
-    /// before the exploration completes, and possibly pre-empting the
-    /// configuration-limit error — which is order-independent, firing iff
-    /// the reachable set exceeds the limit); callers materialize every
-    /// `false` with a full BFS-order check, which reproduces the exact
-    /// verdict or error.
-    #[allow(clippy::too_many_arguments)] // mirrors run_direct + the verdict target
-    pub(super) fn run_decide_dag(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-
-        let mut current = 0usize;
-        while current < self.arena.len() {
-            self.cur.copy_from_slice(self.arena.get(current));
-            let cur_code = self.nodes[current].code;
-            let mut terminal = true;
-            for r in 0..spec.offsets.len() {
-                let lo = spec.req_offsets[r] as usize;
-                let hi = spec.req_offsets[r + 1] as usize;
-                if spec.reqs[lo..hi]
-                    .iter()
-                    .any(|&(s, c)| self.cur[s as usize] < c)
-                {
-                    continue;
-                }
-                terminal = false;
-                let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                // Acyclicity rules out zero-delta reactions (a one-firing
-                // cycle), so a successor never aliases its source.
-                debug_assert_ne!(succ_code, cur_code, "self-loop in certified-acyclic CRN");
-                if self.direct.lookup(succ_code, &self.nodes).is_some() {
-                    continue;
-                }
-                if self.arena.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                let id = self.arena.push_unindexed(&self.succ);
-                self.nodes.push(DirectNode {
-                    code: succ_code,
-                    last_emit: u32::MAX,
-                });
-                self.direct.insert(id, &self.nodes);
-            }
-            if terminal && self.cur[out_idx] != expected {
-                // A bad sink component: its closure is itself, constant on
-                // the wrong output, so it can never recover.
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// Explores and decides in one fused depth-first pass: materializes the
-    /// same reachable set as [`run_direct`](ExploreState::run_direct) (in
-    /// DFS rather than BFS order — the set, and therefore the
-    /// configuration-limit error, is order-independent) while running
-    /// Tarjan's algorithm inline, evaluating the verdict engine's
-    /// `all_recover` fold at each component pop.  The graph is traversed
-    /// exactly once, instead of once to build a CSR and a second time to
-    /// condense it.
-    ///
-    /// Returns `false` as soon as a non-recovering component is emitted —
-    /// possibly before the exploration completes, and possibly pre-empting
-    /// the limit error; callers materialize every `false` with a full
-    /// BFS-order check, which reproduces the exact verdict or error.  A
-    /// `true` certifies the full reachable set was explored within `limits`
-    /// and every component recovers.
-    #[allow(clippy::too_many_arguments)] // mirrors run_direct + the verdict target
-    pub(super) fn run_decide_direct(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-        self.edges.clear();
-        self.rows.clear();
-        self.t_index.clear();
-        self.t_lowlink.clear();
-        self.t_onstack.clear();
-        self.t_comp.clear();
-        self.t_stack.clear();
-        self.t_frames.clear();
-        self.dp_max.clear();
-        self.dp_min.clear();
-        self.dp_rec.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-        self.rows.push((0, 0));
-        self.t_index.push(UNVISITED);
-        self.t_lowlink.push(0);
-        self.t_onstack.push(false);
-        self.t_comp.push(0);
-
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-        self.t_frames.push((0, 0));
-        while let Some(&(v, cursor)) = self.t_frames.last() {
-            if cursor == 0 {
-                // First visit: Tarjan init plus successor expansion, so the
-                // row is final before its first edge is followed.  Every
-                // vertex is expanded exactly once — the same applicability
-                // and probe work as the BFS pass, in a different order.
-                self.t_index[v] = next_index;
-                self.t_lowlink[v] = next_index;
-                next_index += 1;
-                self.t_stack.push(v);
-                self.t_onstack[v] = true;
-
-                let row_start = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.cur.copy_from_slice(self.arena.get(v));
-                let cur_code = self.nodes[v].code;
-                let cur_stamp = u32::try_from(v).expect("ids fit u32 (index cap)");
-                for r in 0..spec.offsets.len() {
-                    let lo = spec.req_offsets[r] as usize;
-                    let hi = spec.req_offsets[r + 1] as usize;
-                    if spec.reqs[lo..hi]
-                        .iter()
-                        .any(|&(s, c)| self.cur[s as usize] < c)
-                    {
-                        continue;
-                    }
-                    let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                    let id = match self.direct.lookup(succ_code, &self.nodes) {
-                        Some(id) => id,
-                        None => {
-                            if self.arena.len() >= limits.max_configurations {
-                                return Err(CrnError::SearchLimitExceeded {
-                                    limit: format!(
-                                        "{} reachable configurations",
-                                        limits.max_configurations
-                                    ),
-                                });
-                            }
-                            compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                            debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                            let id = self.arena.push_unindexed(&self.succ);
-                            self.nodes.push(DirectNode {
-                                code: succ_code,
-                                last_emit: u32::MAX,
-                            });
-                            self.direct.insert(id, &self.nodes);
-                            self.rows.push((0, 0));
-                            self.t_index.push(UNVISITED);
-                            self.t_lowlink.push(0);
-                            self.t_onstack.push(false);
-                            self.t_comp.push(0);
-                            id
-                        }
-                    };
-                    if self.nodes[id].last_emit != cur_stamp {
-                        self.nodes[id].last_emit = cur_stamp;
-                        self.edges
-                            .push(u32::try_from(id).expect("ids fit u32 (index cap)"));
-                    }
-                }
-                let row_end = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.rows[v] = (row_start, row_end);
-            }
-            let (rs, re) = self.rows[v];
-            let pos = rs as usize + cursor;
-            if pos < re as usize {
-                self.t_frames.last_mut().expect("frame exists").1 += 1;
-                let w = self.edges[pos] as usize;
-                if self.t_index[w] == UNVISITED {
-                    self.t_frames.push((w, 0));
-                } else if self.t_onstack[w] {
-                    self.t_lowlink[v] = self.t_lowlink[v].min(self.t_index[w]);
-                }
-                continue;
-            }
-            self.t_frames.pop();
-            if self.t_lowlink[v] == self.t_index[v] {
-                // The component is the stack suffix of Tarjan indices at
-                // least `index[v]`; every edge out of it lands in an
-                // already-emitted (hence final) component, so the closure
-                // max/min/recovers folds complete in this one member walk.
-                let mut base = self.t_stack.len();
-                while base > 0 && self.t_index[self.t_stack[base - 1]] >= self.t_index[v] {
-                    base -= 1;
-                }
-                let c = num_components;
-                num_components += 1;
-                for &w in &self.t_stack[base..] {
-                    self.t_onstack[w] = false;
-                    self.t_comp[w] = c;
-                }
-                let mut mx = u64::MIN;
-                let mut mn = u64::MAX;
-                let mut rec = false;
-                for i in base..self.t_stack.len() {
-                    let m = self.t_stack[i];
-                    let val = self.arena.get(m)[out_idx];
-                    mx = mx.max(val);
-                    mn = mn.min(val);
-                    let (ms, me) = self.rows[m];
-                    for &w in &self.edges[ms as usize..me as usize] {
-                        let cw = self.t_comp[w as usize];
-                        if cw != c {
-                            mx = mx.max(self.dp_max[cw]);
-                            mn = mn.min(self.dp_min[cw]);
-                            rec = rec || self.dp_rec[cw];
-                        }
-                    }
-                }
-                rec = rec || (mx == mn && mx == expected);
-                if !rec {
-                    // A non-recovering component decides the answer.
-                    return Ok(false);
-                }
-                self.dp_max.push(mx);
-                self.dp_min.push(mn);
-                self.dp_rec.push(rec);
-                self.t_stack.truncate(base);
-            }
-            if let Some(parent) = self.t_frames.last() {
-                self.t_lowlink[parent.0] = self.t_lowlink[parent.0].min(self.t_lowlink[v]);
-            }
-        }
-        Ok(true)
-    }
-
-    /// [`run_decide_dag`](ExploreState::run_decide_dag) with whole
-    /// configurations packed into one `u64` each: the BFS loop touches no
-    /// count vectors at all — successor identity is a wrapping addition, the
-    /// applicability test is one SWAR subtraction over every species at
-    /// once, and the terminal output is a byte extract.  The packed value is
-    /// a perfect mixed-radix code of the (7-bit) hull, so discovery order,
-    /// deduplication, the decision and the configuration-limit error are all
-    /// bit-identical to the spec-coded DAG pass.
-    pub(super) fn run_decide_packed_dag(
-        &mut self,
-        packed: &PackedSpec,
-        start: u64,
-        limits: ReachabilityLimits,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        if packed.dense_volume > 0 {
-            return self.run_decide_packed_dense(packed, start, limits, expected);
-        }
-        self.direct.reset();
-        self.pk.clear();
-        self.pk.push(start);
-        {
-            let pk = &self.pk;
-            self.direct.insert_by(0, pk.len(), |i| pk[i]);
-        }
-        let mut current = 0usize;
-        while current < self.pk.len() {
-            let cur = self.pk[current];
-            let mut terminal = true;
-            for r in 0..packed.deltas.len() {
-                // Lane-wise `cur >= req`: with every count lane in [0, 127]
-                // and requirement lanes clamped to 128, `(cur | HIGH) - req`
-                // never borrows across lanes, and a lane's high bit survives
-                // exactly when its count meets the requirement.
-                let gap = (cur | LANE_HIGH).wrapping_sub(packed.reqs[r]);
-                if !gap & LANE_HIGH != 0 {
-                    continue;
-                }
-                terminal = false;
-                let succ = cur.wrapping_add(packed.deltas[r]);
-                debug_assert_ne!(succ, cur, "self-loop in certified-acyclic CRN");
-                let pk = &self.pk;
-                if self.direct.lookup_by(succ, |i| pk[i]).is_some() {
-                    continue;
-                }
-                if self.pk.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                let id = self.pk.len();
-                self.pk.push(succ);
-                let pk = &self.pk;
-                self.direct.insert_by(id, pk.len(), |i| pk[i]);
-            }
-            if terminal && (cur >> packed.out_shift) & 0xff != expected {
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// The small-hull variant of
-    /// [`run_decide_packed_dag`](ExploreState::run_decide_packed_dag):
-    /// deduplication via an epoch-stamped dense visited table indexed by
-    /// the hull's mixed-radix code, which is maintained *incrementally* —
-    /// firing a reaction moves the code by one precomputed `wrapping_add`.
-    /// Discovery order, the verdict and the configuration-limit error are
-    /// identical to the hashed pass: membership is membership either way.
-    fn run_decide_packed_dense(
-        &mut self,
-        packed: &PackedSpec,
-        start: u64,
-        limits: ReachabilityLimits,
-        expected: u64,
-    ) -> Result<bool, CrnError> {
-        if self.visited.len() < packed.dense_volume {
-            self.visited.resize(packed.dense_volume, 0);
-        }
-        self.visited_epoch = match self.visited_epoch.checked_add(1) {
-            Some(e) => e,
             None => {
-                self.visited.fill(0);
-                1
+                let mut index = HashIndex::new(store, compiled, start_dense);
+                explore(&mut index, edges, max_configurations, explored)?
             }
         };
-        let epoch = self.visited_epoch;
-        self.pk.clear();
-        self.pk_code.clear();
-        let start_code = packed.dense_code(start);
-        self.pk.push(start);
-        self.pk_code.push(start_code);
-        self.visited[usize::try_from(start_code).expect("dense code below the cap")] = epoch;
-        let mut current = 0usize;
-        while current < self.pk.len() {
-            let cur = self.pk[current];
-            let cur_code = self.pk_code[current];
-            let mut terminal = true;
-            for r in 0..packed.deltas.len() {
-                let gap = (cur | LANE_HIGH).wrapping_sub(packed.reqs[r]);
-                if !gap & LANE_HIGH != 0 {
-                    continue;
-                }
-                terminal = false;
-                let succ_code = cur_code.wrapping_add(packed.dense_deltas[r]);
-                let slot = usize::try_from(succ_code).expect("dense code below the cap");
-                debug_assert!(slot < packed.dense_volume, "hull admits every successor");
-                if self.visited[slot] == epoch {
-                    continue;
-                }
-                if self.pk.len() >= limits.max_configurations {
-                    return Err(CrnError::SearchLimitExceeded {
-                        limit: format!("{} reachable configurations", limits.max_configurations),
-                    });
-                }
-                self.visited[slot] = epoch;
-                self.pk.push(cur.wrapping_add(packed.deltas[r]));
-                self.pk_code.push(succ_code);
-            }
-            if terminal && (cur >> packed.out_shift) & 0xff != expected {
-                return Ok(false);
-            }
-            current += 1;
-        }
-        Ok(true)
-    }
-
-    /// The memoizing decision pass:
-    /// [`run_decide_direct`](ExploreState::run_decide_direct) coded over the
-    /// box-wide *hull* (so codes mean the same thing at every point of the
-    /// sweep), consulting `cache` at the frontier.  A successor whose hull
-    /// code carries a cached [`Summary`] becomes a *virtual* child — its
-    /// subtree is never expanded; the component folds consume the summary's
-    /// output sets instead.  Every finished component's members are appended
-    /// to `pending` with their shared summary; the caller publishes them
-    /// only when the run returns `Ok` — a truncated exploration never
-    /// populates the cache.
-    ///
-    /// Returns `Ok(Some(decision))` when the verdict is certified,
-    /// `Ok(Some(false))` possibly early (the full check then fails or
-    /// errors, never passes), and `Ok(None)` when every component recovers
-    /// but the run cannot certify that the reference exploration would have
-    /// stayed within `limits` — the caller must then fall back to an exact
-    /// per-point pass.
-    #[allow(clippy::too_many_arguments)] // mirrors run_decide_direct + the cache
-    pub(super) fn run_decide_memo(
-        &mut self,
-        compiled: &CompiledCrn,
-        stride: usize,
-        start_dense: &[u64],
-        limits: ReachabilityLimits,
-        spec: &DirectSpec,
-        out_idx: usize,
-        expected: u64,
-        limit_certified: bool,
-        cache: &mut MemoCache,
-        pending: &mut Vec<(u64, Summary)>,
-    ) -> Result<Option<bool>, CrnError> {
-        self.arena.reset(stride);
-        self.cur.clear();
-        self.cur.resize(stride, 0);
-        self.succ.clear();
-        self.succ.resize(stride, 0);
-        self.direct.reset();
-        self.nodes.clear();
-        self.edges.clear();
-        self.rows.clear();
-        self.t_index.clear();
-        self.t_lowlink.clear();
-        self.t_onstack.clear();
-        self.t_comp.clear();
-        self.t_stack.clear();
-        self.t_frames.clear();
-        self.dp_max.clear();
-        self.dp_min.clear();
-        self.dp_so.clear();
-        self.dp_rset.clear();
-        self.dp_size.clear();
-        self.hit_list.clear();
-        self.hit_emit.clear();
-        self.hit_ids.clear();
-        pending.clear();
-
-        let start_code = spec.encode(start_dense);
-        self.arena.push_unindexed(start_dense);
-        self.nodes.push(DirectNode {
-            code: start_code,
-            last_emit: u32::MAX,
-        });
-        self.direct.insert(0, &self.nodes);
-        self.rows.push((0, 0));
-        self.t_index.push(UNVISITED);
-        self.t_lowlink.push(0);
-        self.t_onstack.push(false);
-        self.t_comp.push(0);
-
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-        self.t_frames.push((0, 0));
-        while let Some(&(v, cursor)) = self.t_frames.last() {
-            if cursor == 0 {
-                self.t_index[v] = next_index;
-                self.t_lowlink[v] = next_index;
-                next_index += 1;
-                self.t_stack.push(v);
-                self.t_onstack[v] = true;
-
-                let row_start = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.cur.copy_from_slice(self.arena.get(v));
-                let cur_code = self.nodes[v].code;
-                let cur_stamp = u32::try_from(v).expect("ids fit u32 (index cap)");
-                for r in 0..spec.offsets.len() {
-                    let lo = spec.req_offsets[r] as usize;
-                    let hi = spec.req_offsets[r + 1] as usize;
-                    if spec.reqs[lo..hi]
-                        .iter()
-                        .any(|&(s, c)| self.cur[s as usize] < c)
-                    {
-                        continue;
-                    }
-                    let succ_code = cur_code.wrapping_add_signed(spec.offsets[r]);
-                    // Materialized vertices win over cache entries, so a
-                    // configuration is never both a vertex and a virtual
-                    // child of the same run.
-                    if let Some(id) = self.direct.lookup(succ_code, &self.nodes) {
-                        if self.nodes[id].last_emit != cur_stamp {
-                            self.nodes[id].last_emit = cur_stamp;
-                            self.edges.push(real_edge(id));
-                        }
-                        continue;
-                    }
-                    if let Some(summary) = cache.lookup(succ_code) {
-                        let hit_list = &mut self.hit_list;
-                        let hit_emit = &mut self.hit_emit;
-                        let hid = *self.hit_ids.entry(succ_code).or_insert_with(|| {
-                            let hid = u32::try_from(hit_list.len()).expect("hit count fits u32");
-                            hit_list.push(summary);
-                            hit_emit.push(u32::MAX);
-                            hid
-                        });
-                        if self.hit_emit[hid as usize] != cur_stamp {
-                            self.hit_emit[hid as usize] = cur_stamp;
-                            self.edges.push(VIRTUAL_EDGE | hid);
-                        }
-                        continue;
-                    }
-                    if self.arena.len() >= limits.max_configurations {
-                        return Err(CrnError::SearchLimitExceeded {
-                            limit: format!(
-                                "{} reachable configurations",
-                                limits.max_configurations
-                            ),
-                        });
-                    }
-                    compiled.reactions()[r].apply_into(&self.cur, &mut self.succ);
-                    debug_assert_eq!(spec.encode(&self.succ), succ_code);
-                    let id = self.arena.push_unindexed(&self.succ);
-                    self.nodes.push(DirectNode {
-                        code: succ_code,
-                        last_emit: cur_stamp,
-                    });
-                    self.direct.insert(id, &self.nodes);
-                    self.rows.push((0, 0));
-                    self.t_index.push(UNVISITED);
-                    self.t_lowlink.push(0);
-                    self.t_onstack.push(false);
-                    self.t_comp.push(0);
-                    self.edges.push(real_edge(id));
-                }
-                let row_end = u32::try_from(self.edges.len()).expect("edge count fits u32");
-                self.rows[v] = (row_start, row_end);
-            }
-            let (rs, re) = self.rows[v];
-            let pos = rs as usize + cursor;
-            if pos < re as usize {
-                self.t_frames.last_mut().expect("frame exists").1 += 1;
-                let e = self.edges[pos];
-                if e & VIRTUAL_EDGE != 0 {
-                    // A summarized subtree: folded at the pop, never
-                    // traversed.
-                    continue;
-                }
-                let w = e as usize;
-                if self.t_index[w] == UNVISITED {
-                    self.t_frames.push((w, 0));
-                } else if self.t_onstack[w] {
-                    self.t_lowlink[v] = self.t_lowlink[v].min(self.t_index[w]);
-                }
-                continue;
-            }
-            self.t_frames.pop();
-            if self.t_lowlink[v] == self.t_index[v] {
-                let mut base = self.t_stack.len();
-                while base > 0 && self.t_index[self.t_stack[base - 1]] >= self.t_index[v] {
-                    base -= 1;
-                }
-                let c = num_components;
-                num_components += 1;
-                for &w in &self.t_stack[base..] {
-                    self.t_onstack[w] = false;
-                    self.t_comp[w] = c;
-                }
-                // Fold the closure's output extrema, stable-output set `so`
-                // (values some closure configuration is output-stable at)
-                // and recoverable set `rset` (values *every* closure
-                // configuration can still reach stably), plus a size bound.
-                let mut mx = u64::MIN;
-                let mut mn = u64::MAX;
-                let mut so = EMPTY_SET;
-                let mut rset: Option<SetId> = None;
-                let mut size =
-                    u64::try_from(self.t_stack.len() - base).expect("member count fits u64");
-                for i in base..self.t_stack.len() {
-                    let m = self.t_stack[i];
-                    let val = self.arena.get(m)[out_idx];
-                    mx = mx.max(val);
-                    mn = mn.min(val);
-                    let (ms, me) = self.rows[m];
-                    for &e in &self.edges[ms as usize..me as usize] {
-                        let (c_mx, c_mn, c_so, c_rset, c_size) = if e & VIRTUAL_EDGE != 0 {
-                            let h = &self.hit_list[(e & !VIRTUAL_EDGE) as usize];
-                            (h.mx, h.mn, h.so, h.rset, h.size_bound)
-                        } else {
-                            let cw = self.t_comp[e as usize];
-                            if cw == c {
-                                continue;
-                            }
-                            (
-                                self.dp_max[cw],
-                                self.dp_min[cw],
-                                self.dp_so[cw],
-                                self.dp_rset[cw],
-                                self.dp_size[cw],
-                            )
-                        };
-                        mx = mx.max(c_mx);
-                        mn = mn.min(c_mn);
-                        so = cache.pool.union(so, c_so);
-                        rset = Some(match rset {
-                            None => c_rset,
-                            Some(r) => cache.pool.intersect(r, c_rset),
-                        });
-                        size = size.saturating_add(c_size);
-                    }
-                }
-                if mx == mn {
-                    // One output value across the whole closure: every
-                    // member is output-stable with it.
-                    let single = cache.pool.singleton(mx);
-                    so = cache.pool.union(so, single);
-                }
-                let rset = rset.unwrap_or(so);
-                if !cache.pool.contains(rset, expected) {
-                    // Some configuration in this reachable component's
-                    // closure can never recover the expected output: the
-                    // full check fails or errors, never passes.
-                    return Ok(Some(false));
-                }
-                let summary = Summary {
-                    mx,
-                    mn,
-                    so,
-                    rset,
-                    size_bound: size,
-                };
-                for &m in &self.t_stack[base..] {
-                    pending.push((self.nodes[m].code, summary));
-                }
-                self.dp_max.push(mx);
-                self.dp_min.push(mn);
-                self.dp_so.push(so);
-                self.dp_rset.push(rset);
-                self.dp_size.push(size);
-                self.t_stack.truncate(base);
-            }
-            if let Some(parent) = self.t_frames.last() {
-                self.t_lowlink[parent.0] = self.t_lowlink[parent.0].min(self.t_lowlink[v]);
-            }
-        }
-        // Every component recovers.  The run may have finished early through
-        // cache hits, so "the reference exploration fits the limit" needs a
-        // certificate: the sweep-wide one, or the root closure's size bound.
-        let root_size = *self.dp_size.last().expect("the root component was popped");
-        if limit_certified
-            || root_size <= u64::try_from(limits.max_configurations).unwrap_or(u64::MAX)
-        {
-            Ok(Some(true))
-        } else {
-            Ok(None)
-        }
+        Ok(())
     }
 }
 
@@ -1403,129 +1016,47 @@ pub(super) enum StaticOutcome {
     Fail,
 }
 
-/// Everything the incremental box engine precomputes once per sweep:
-/// analysis artifacts, the box-wide hull code space, the packed byte
-/// encoding, the symmetry group, and the cross-worker summary exchange.  All
-/// of it depends only on the CRN, the bound and the configuration limit, so
-/// the driver builds one plan and every worker shares it by reference.
+/// What the incremental box sweep precomputes once: the packed byte
+/// encoding and the input automorphisms.  Both depend only on the CRN and
+/// the bound, so the driver builds one plan and every worker shares it by
+/// reference.
 pub(super) struct SweepPlan {
-    /// The mixed-radix code over the box-wide interval hull — a
-    /// point-independent key space shared by every sweep point, used to key
-    /// the cross-point cache.
-    hull_spec: Option<DirectSpec>,
-    /// The byte packing for certified-acyclic CRNs whose hull fits 7-bit
-    /// lanes.
+    /// The byte packing for certified-acyclic CRNs whose box-wide hull fits
+    /// 7-bit lanes.
     packed: Option<PackedSpec>,
-    /// Whether the hull provably fits the configuration limit: then no point
-    /// of the sweep can error on it, and memo runs skip the per-summary size
-    /// certificates.
-    limit_certified: bool,
-    /// Whether cross-point memoization can ever pay off: a hull code space
-    /// exists and the conservation laws do not already separate every pair
-    /// of box points into disjoint reachable sets.
-    pub(super) cache_enabled: bool,
     /// Input permutations extending to CRN automorphisms, in skip
     /// orientation (see [`symmetry::input_automorphisms`]).
     pub(super) perms: Vec<Vec<usize>>,
-    /// The cross-worker summary exchange.
-    pub(super) shared: SharedLog,
 }
 
 impl SweepPlan {
-    pub(super) fn build(
-        crn: &FunctionCrn,
-        analysis: &Arc<BoxAnalysis>,
-        bound: u64,
-        max_configurations: usize,
-    ) -> SweepPlan {
+    pub(super) fn build(crn: &FunctionCrn, analysis: &BoxAnalysis, bound: u64) -> SweepPlan {
         let compiled = CompiledCrn::compile(crn.crn());
         let stride = compiled.stride().max(crn.role_stride());
-        // The hull is the interval analysis seeded at the box's top corner:
-        // the monotone potentials and the liveness closure both grow with
-        // the start, so the resulting box contains every configuration
-        // reachable from *any* point of the sweep.
-        let mut top = vec![0u64; stride];
-        for species in &crn.roles().inputs {
-            top[species.index()] = bound;
-        }
-        if let Some(leader) = crn.leader() {
-            top[leader.index()] += 1;
-        }
-        let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
-        let live = Liveness::analyze(&compiled, &support);
-        let hull = analysis.bounds.box_hull(&top, &live);
-        let hull_spec = DirectSpec::build(&hull, &compiled, DIRECT_INDEX_CAP);
         let packed = if analysis.acyclic {
-            PackedSpec::build(
-                &hull,
-                &compiled,
-                &analysis.laws,
-                stride,
-                crn.output().index(),
-            )
+            // The hull is the interval analysis seeded at the box's top
+            // corner: the monotone potentials and the liveness closure both
+            // grow with the start, so the resulting box contains every
+            // configuration reachable from *any* point of the sweep.
+            let mut top = vec![0u64; stride];
+            for species in &crn.roles().inputs {
+                top[species.index()] = bound;
+            }
+            if let Some(leader) = crn.leader() {
+                top[leader.index()] += 1;
+            }
+            let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
+            let live = Liveness::analyze(&compiled, &support);
+            let hull = analysis.bounds.box_hull(&top, &live);
+            PackedSpec::build(&hull, &compiled, &analysis.laws, stride)
         } else {
             None
         };
-        let limit_certified = hull
-            .state_space()
-            .is_some_and(|v| v <= max_configurations as u128);
-        let inputs: Vec<usize> = crn.roles().inputs.iter().map(|s| s.index()).collect();
-        let cache_enabled = hull_spec.is_some()
-            && !inputs.is_empty()
-            && input_law_rank(&analysis.laws, &inputs) < inputs.len();
-        let perms = symmetry::input_automorphisms(crn, &compiled);
         SweepPlan {
-            hull_spec,
             packed,
-            limit_certified,
-            cache_enabled,
-            perms,
-            shared: SharedLog::new(),
+            perms: symmetry::input_automorphisms(crn, &compiled),
         }
     }
-}
-
-/// The rank (over ℚ) of the conservation-law matrix restricted to the input
-/// species.  At full rank the laws' values separate every pair of box points
-/// — reachable sets of distinct points are disjoint and a cross-point cache
-/// can never hit, so the driver leaves it off.  Overflow during elimination
-/// conservatively reports rank 0 (the gate is a performance heuristic, never
-/// a soundness requirement).
-fn input_law_rank(laws: &[ConservationLaw], inputs: &[usize]) -> usize {
-    let mut rows: Vec<Vec<i128>> = laws
-        .iter()
-        .map(|law| inputs.iter().map(|&s| law.weight(s)).collect())
-        .collect();
-    let cols = inputs.len();
-    let mut rank = 0usize;
-    for col in 0..cols {
-        let Some(pivot) = (rank..rows.len()).find(|&r| rows[r][col] != 0) else {
-            continue;
-        };
-        rows.swap(rank, pivot);
-        let (head, rest) = rows.split_at_mut(rank + 1);
-        let pivot_row = &head[rank];
-        for row in rest.iter_mut() {
-            if row[col] == 0 {
-                continue;
-            }
-            let (p, q) = (pivot_row[col], row[col]);
-            for j in 0..cols {
-                let Some(scaled) = row[j].checked_mul(p) else {
-                    return 0;
-                };
-                let Some(elim) = pivot_row[j].checked_mul(q) else {
-                    return 0;
-                };
-                let Some(diff) = scaled.checked_sub(elim) else {
-                    return 0;
-                };
-                row[j] = diff;
-            }
-        }
-        rank += 1;
-    }
-    rank
 }
 
 /// A reusable stable-computation checker for one CRN: reactions are compiled
@@ -1533,14 +1064,15 @@ fn input_law_rank(laws: &[ConservationLaw], inputs: &[usize]) -> usize {
 /// are recycled across [`check`](VerdictEngine::check) calls.  The parallel
 /// box driver gives each worker thread one engine.
 ///
-/// A *pruned* engine ([`new`](VerdictEngine::new)) additionally carries the
-/// static-analysis artifacts — monotone-potential [`SpeciesBounds`] and the
-/// signed conservation-law basis — and uses them to (a) answer
-/// [`static_verdict`](VerdictEngine::static_verdict) queries without building
-/// an arena and (b) explore through the mixed-radix code index whenever the
-/// proven interval box is finite.  A *reference* engine
-/// ([`reference`](VerdictEngine::reference)) skips all of it and always runs
-/// the hash-interned BFS; both produce bit-identical verdicts.
+/// An *analyzed* engine ([`new`](VerdictEngine::new)) additionally carries
+/// the static-analysis artifacts — monotone-potential [`SpeciesBounds`], the
+/// signed conservation-law basis and the acyclicity certificate — and uses
+/// them to (a) answer [`static_verdict`](VerdictEngine::static_verdict)
+/// queries without building an arena and (b) explore through the
+/// [`BoxCodeIndex`] whenever the proven interval box is finite.  A
+/// *reference* engine ([`with_analysis`](VerdictEngine::with_analysis) with
+/// `None`) skips all of it and always explores through the [`HashIndex`] —
+/// the in-tree differential oracle; both produce bit-identical verdicts.
 pub(super) struct VerdictEngine<'c> {
     crn: &'c FunctionCrn,
     compiled: CompiledCrn,
@@ -1551,7 +1083,7 @@ pub(super) struct VerdictEngine<'c> {
     analysis: Option<Arc<BoxAnalysis>>,
     /// The interval analysis of the last analyzed start configuration, so a
     /// [`static_verdict`](VerdictEngine::static_verdict) followed by a
-    /// [`check`](VerdictEngine::check) on the same point pays for liveness
+    /// [`decide`](VerdictEngine::decide) on the same point pays for liveness
     /// and bound propagation once, not twice.
     cached_intervals: Option<(Vec<u64>, CountIntervals)>,
     state: ExploreState,
@@ -1564,17 +1096,17 @@ pub(super) struct VerdictEngine<'c> {
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// Compiles `crn`'s reactions, computes the pruning analysis (bounds and
-    /// laws) and readies the scratch.
+    /// Compiles `crn`'s reactions, computes the static analysis and readies
+    /// the scratch.
     pub(super) fn new(crn: &'c FunctionCrn) -> Self {
         let analysis = Self::analyze(crn);
         Self::with_analysis(crn, Some(analysis))
     }
 
-    /// The per-CRN static analysis the pruned engine runs on: monotone
-    /// potential bounds plus the signed conservation-law basis.  Point
-    /// independent, so a box driver computes it once and hands clones of the
-    /// `Arc` to every worker via
+    /// The per-CRN static analysis of an analyzed engine: monotone potential
+    /// bounds, the signed conservation-law basis and the acyclicity
+    /// certificate.  Point independent, so a box driver computes it once and
+    /// hands clones of the `Arc` to every worker via
     /// [`with_analysis`](VerdictEngine::with_analysis).
     pub(super) fn analyze(crn: &FunctionCrn) -> Arc<BoxAnalysis> {
         let compiled = CompiledCrn::compile(crn.crn());
@@ -1590,17 +1122,15 @@ impl<'c> VerdictEngine<'c> {
         })
     }
 
-    /// The analysis-free engine: plain hash-interned BFS on every point,
-    /// exactly the pre-analysis behaviour.  Kept as the differential baseline
-    /// for the pruned engine and as the E18 comparison point.
-    pub(super) fn reference(crn: &'c FunctionCrn) -> Self {
-        Self::with_analysis(crn, None)
-    }
-
     /// `(collisions, grows)` of the engine's configuration arena, cumulative
     /// over its lifetime — the observability layer's dedup metrics.
     pub(super) fn arena_metrics(&self) -> (u64, u64) {
-        self.state.arena.metrics()
+        self.state.store.arena.metrics()
+    }
+
+    /// Configurations stored by every exploration this engine ran.
+    pub(super) fn configs_explored(&self) -> u64 {
+        self.state.explored
     }
 
     /// An engine with the given (possibly shared) analysis artifacts, or a
@@ -1629,10 +1159,16 @@ impl<'c> VerdictEngine<'c> {
         }
     }
 
-    /// Builds the initial configuration `I_x` densely into `start_dense`:
-    /// input counts plus one leader.  Roles are validated distinct, so plain
-    /// stores suffice.
-    fn build_start(&mut self, x: &NVec) {
+    /// Checks the arity of `x` and builds the initial configuration `I_x`
+    /// densely into `start_dense`: input counts plus one leader.  Roles are
+    /// validated distinct, so plain stores suffice.
+    fn build_start(&mut self, x: &NVec) -> Result<(), CrnError> {
+        if x.dim() != self.crn.dim() {
+            return Err(CrnError::DimensionMismatch {
+                expected: self.crn.dim(),
+                actual: x.dim(),
+            });
+        }
         self.start_dense.clear();
         self.start_dense.resize(self.stride, 0);
         for (i, species) in self.crn.roles().inputs.iter().enumerate() {
@@ -1641,16 +1177,13 @@ impl<'c> VerdictEngine<'c> {
         if let Some(leader) = self.crn.leader() {
             self.start_dense[leader.index()] += 1;
         }
+        Ok(())
     }
 
-    /// Ensures `cached_intervals` holds the reachable-count intervals of the
-    /// current `start_dense`; returns `false` on a reference engine (no
-    /// analysis, nothing cached).
-    fn refresh_intervals(&mut self) -> bool {
-        let Some(analysis) = self.analysis.as_ref() else {
-            return false;
-        };
-        let BoxAnalysis { bounds, laws, .. } = &**analysis;
+    /// The reachable-count intervals of the current `start_dense`, computed
+    /// at most once per start; `None` on a reference engine.
+    fn intervals(&mut self) -> Option<&CountIntervals> {
+        let BoxAnalysis { bounds, laws, .. } = &**self.analysis.as_ref()?;
         let stale = self
             .cached_intervals
             .as_ref()
@@ -1663,7 +1196,9 @@ impl<'c> VerdictEngine<'c> {
             let intervals = bounds.intervals(&self.start_dense, &live, laws);
             self.cached_intervals = Some((self.start_dense.clone(), intervals));
         }
-        true
+        self.cached_intervals
+            .as_ref()
+            .map(|(_, intervals)| intervals)
     }
 
     /// Classifies `x` without exploring: `Some(Pass)` and `Some(Fail)` are
@@ -1676,15 +1211,9 @@ impl<'c> VerdictEngine<'c> {
         expected_output: u64,
         max_configurations: usize,
     ) -> Option<StaticOutcome> {
-        if x.dim() != self.crn.dim() {
-            return None;
-        }
-        self.build_start(x);
-        if !self.refresh_intervals() {
-            return None;
-        }
-        let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
+        self.build_start(x).ok()?;
         let out = self.crn.output().index();
+        let intervals = self.intervals()?;
         if expected_output < intervals.lower(out)
             || intervals.upper(out).is_some_and(|u| expected_output > u)
         {
@@ -1706,183 +1235,71 @@ impl<'c> VerdictEngine<'c> {
         None
     }
 
+    /// The mixed-radix code over the current start's interval box, when the
+    /// engine is analyzed and the box is finite and fits the code range.
+    fn box_spec(&mut self) -> Option<DirectSpec> {
+        self.intervals()?;
+        let (_, intervals) = self.cached_intervals.as_ref()?;
+        DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
+    }
+
     /// Decides whether the CRN stably computes `expected_output` on `x` —
     /// exactly the `correct` flag [`check`](VerdictEngine::check) would
-    /// report — without materializing a verdict.  On a proven interval box
-    /// the pass is picked by the analysis: a T-invariant acyclicity
-    /// certificate reduces the decision to the terminal-output scan of
-    /// [`run_decide_dag`](ExploreState::run_decide_dag); otherwise it is the
-    /// fused exploration-plus-Tarjan pass of
-    /// [`run_decide_direct`](ExploreState::run_decide_direct).  Without a
-    /// finite box it falls back to the hash-mode exploration plus
-    /// [`Condensation::all_recover`].  The box driver runs this on every
-    /// candidate point and re-checks only the winning failure in full, so
-    /// passing points skip the member grouping, the three fold traversals
-    /// and the per-verdict allocations.
+    /// report, `Ok(false)` standing for "fails or errors" — without
+    /// materializing a verdict.  The box driver runs this on every candidate
+    /// point and re-checks only the winning failure in full.
+    ///
+    /// A certified-acyclic CRN takes the [`TerminalScan`]: through the
+    /// plan's [`DenseIndex`] or [`PackedIndex`] when the sweep's hull packs,
+    /// else through the [`BoxCodeIndex`] of the point's interval box.  Every
+    /// other point builds the CSR and runs [`Condensation::all_recover`].
     pub(super) fn decide(
         &mut self,
         x: &NVec,
         expected_output: u64,
         max_configurations: usize,
+        plan: &SweepPlan,
     ) -> Result<bool, CrnError> {
-        if x.dim() != self.crn.dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
-                actual: x.dim(),
-            });
-        }
-        self.build_start(x);
-        let spec = if self.refresh_intervals() {
-            let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
-            DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
-        } else {
-            None
+        self.build_start(x)?;
+        let output = self.crn.output().index();
+        let mut scan = TerminalScan {
+            output,
+            expected: expected_output,
         };
-        let limits = ReachabilityLimits { max_configurations };
-        let out_idx = self.crn.output().index();
+        if let Some(packed) = &plan.packed {
+            let start = packed.pack(&self.start_dense);
+            let (store, explored) = (&mut self.state.store, &mut self.state.explored);
+            return if packed.dense_volume > 0 {
+                let mut index = DenseIndex::new(store, packed, start);
+                explore(&mut index, &mut scan, max_configurations, explored)
+            } else {
+                let mut index = PackedIndex::new(store, packed, start);
+                explore(&mut index, &mut scan, max_configurations, explored)
+            };
+        }
+        let spec = self.box_spec();
         let acyclic = self.analysis.as_ref().is_some_and(|a| a.acyclic);
         match &spec {
-            Some(spec) if acyclic => self.state.run_decide_dag(
-                &self.compiled,
-                self.stride,
-                &self.start_dense,
-                limits,
-                spec,
-                out_idx,
-                expected_output,
-            ),
-            Some(spec) => self.state.run_decide_direct(
-                &self.compiled,
-                self.stride,
-                &self.start_dense,
-                limits,
-                spec,
-                out_idx,
-                expected_output,
-            ),
-            None => {
-                self.state
-                    .run(&self.compiled, self.stride, &self.start_dense, limits)?;
-                let arena = &self.state.arena;
+            Some(spec) if acyclic => {
+                let (store, explored) = (&mut self.state.store, &mut self.state.explored);
+                let mut index = BoxCodeIndex::new(store, spec, &self.compiled, &self.start_dense);
+                explore(&mut index, &mut scan, max_configurations, explored)
+            }
+            _ => {
+                self.state.run(
+                    &self.compiled,
+                    &self.start_dense,
+                    spec.as_ref(),
+                    max_configurations,
+                )?;
+                let arena = &self.state.store.arena;
                 Ok(self.cond.all_recover(
-                    &self.state.csr,
-                    |v| arena.get(v)[out_idx],
+                    &self.state.edges.csr,
+                    |v| arena.get(v)[output],
                     expected_output,
                 ))
             }
         }
-    }
-
-    /// The incremental sweep's decision pass: semantically identical to
-    /// [`decide`](VerdictEngine::decide) — `Ok(true)` certifies the point
-    /// passes within the limit, `Ok(false)` certifies the full check would
-    /// fail or error — but routed through the sweep plan's cross-point
-    /// layers.  With a cache, the memoizing hull-coded pass runs (falling
-    /// back to the exact per-point pass when it cannot certify the limit);
-    /// otherwise a certified-acyclic CRN on a 7-bit hull takes the packed
-    /// byte pass, which needs no per-point interval analysis at all; plain
-    /// [`decide`](VerdictEngine::decide) covers the rest.
-    #[allow(clippy::too_many_arguments)] // mirrors decide + the sweep plan's layers
-    pub(super) fn decide_incremental(
-        &mut self,
-        x: &NVec,
-        expected_output: u64,
-        max_configurations: usize,
-        plan: &SweepPlan,
-        cache: Option<&mut MemoCache>,
-        pending: &mut Vec<(u64, Summary)>,
-        stats: &mut BoxCheckStats,
-    ) -> Result<bool, CrnError> {
-        if x.dim() != self.crn.dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
-                actual: x.dim(),
-            });
-        }
-        if let Some(cache) = cache {
-            let hull_spec = plan
-                .hull_spec
-                .as_ref()
-                .expect("an enabled cache implies a hull code space");
-            self.build_start(x);
-            cache.import(&plan.shared);
-            let root_code = hull_spec.encode(&self.start_dense);
-            if let Some(summary) = cache.lookup(root_code) {
-                stats.cache_served += 1;
-                if !cache.pool.contains(summary.rset, expected_output) {
-                    return Ok(false);
-                }
-                if plan.limit_certified
-                    || summary.size_bound <= u64::try_from(max_configurations).unwrap_or(u64::MAX)
-                {
-                    return Ok(true);
-                }
-                // The verdict is "pass" but the reference exploration might
-                // exceed its limit: fall through to the exact pass.
-            } else {
-                let hits_before = cache.hits;
-                let limits = ReachabilityLimits { max_configurations };
-                let out_idx = self.crn.output().index();
-                let result = self.state.run_decide_memo(
-                    &self.compiled,
-                    self.stride,
-                    &self.start_dense,
-                    limits,
-                    hull_spec,
-                    out_idx,
-                    expected_output,
-                    plan.limit_certified,
-                    cache,
-                    pending,
-                );
-                stats.configs_explored +=
-                    u64::try_from(self.state.arena.len()).expect("usize fits u64");
-                match result {
-                    Ok(decision) => {
-                        // Publish the finished components — their closures
-                        // were fully summarized even if the decision came
-                        // early.
-                        for &(code, summary) in pending.iter() {
-                            cache.insert(code, summary);
-                        }
-                        cache.export(&plan.shared, pending);
-                        pending.clear();
-                        if cache.hits > hits_before {
-                            stats.cache_served += 1;
-                        }
-                        if let Some(decision) = decision {
-                            stats.decided += 1;
-                            return Ok(decision);
-                        }
-                        // Undecided: a pass the run cannot certify against
-                        // the limit; rerun exactly below.
-                    }
-                    Err(e) => {
-                        // The summaries die with the error: publishing
-                        // partial work could make cache contents (and thus
-                        // hit counters) depend on which worker errored first.
-                        stats.publish_suppressed +=
-                            u64::try_from(pending.len()).expect("usize fits u64");
-                        pending.clear();
-                        return Err(e);
-                    }
-                }
-            }
-        } else if let Some(packed) = plan.packed.as_ref() {
-            self.build_start(x);
-            let limits = ReachabilityLimits { max_configurations };
-            let start = packed.pack(&self.start_dense);
-            let result = self
-                .state
-                .run_decide_packed_dag(packed, start, limits, expected_output);
-            stats.configs_explored += u64::try_from(self.state.pk.len()).expect("usize fits u64");
-            stats.decided += 1;
-            return result;
-        }
-        stats.decided += 1;
-        let result = self.decide(x, expected_output, max_configurations);
-        stats.configs_explored += u64::try_from(self.state.arena.len()).expect("usize fits u64");
-        result
     }
 
     /// Checks whether the CRN stably computes `expected_output` on `x`.
@@ -1894,40 +1311,18 @@ impl<'c> VerdictEngine<'c> {
         expected_output: u64,
         max_configurations: usize,
     ) -> Result<StableComputationVerdict, CrnError> {
-        if x.dim() != self.crn.dim() {
-            return Err(CrnError::DimensionMismatch {
-                expected: self.crn.dim(),
-                actual: x.dim(),
-            });
-        }
-        self.build_start(x);
+        self.build_start(x)?;
+        let spec = self.box_spec();
+        self.state.run(
+            &self.compiled,
+            &self.start_dense,
+            spec.as_ref(),
+            max_configurations,
+        )?;
+        self.cond.rebuild(&self.state.edges.csr);
 
-        let spec = if self.refresh_intervals() {
-            let (_, intervals) = self.cached_intervals.as_ref().expect("just refreshed");
-            DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
-        } else {
-            None
-        };
-        let limits = ReachabilityLimits { max_configurations };
-        match &spec {
-            Some(spec) => {
-                self.state.run_direct(
-                    &self.compiled,
-                    self.stride,
-                    &self.start_dense,
-                    limits,
-                    spec,
-                )?;
-            }
-            None => {
-                self.state
-                    .run(&self.compiled, self.stride, &self.start_dense, limits)?;
-            }
-        }
-        self.cond.rebuild(&self.state.csr);
-
-        let arena = &self.state.arena;
-        let csr = &self.state.csr;
+        let arena = &self.state.store.arena;
+        let csr = &self.state.edges.csr;
         let cond = &self.cond;
         let out_idx = self.crn.output().index();
         let out_of = |v: usize| arena.get(v)[out_idx];

@@ -16,6 +16,10 @@
 //! * [`arena`](self) (internal) — an interned **configuration arena**: dense
 //!   count vectors in one allocation, with an open-addressing hash index over
 //!   arena ids, so exploration never clones a sparse configuration per edge;
+//! * [`engine`](self) (internal) — the one breadth-first **exploration
+//!   kernel**, monomorphized over a state index (hash arena, mixed-radix box
+//!   code, or byte-packed word) and a sink (CSR edges, or the terminal-output
+//!   scan that decides certified-acyclic CRNs);
 //! * [`CsrGraph`] — successor storage laid out in **compressed sparse row**
 //!   form directly during the breadth-first exploration;
 //! * [`Condensation`] — **Tarjan SCC condensation**; the three reachability
@@ -30,7 +34,6 @@
 mod arena;
 mod csr;
 mod engine;
-mod memo;
 pub mod oracle;
 mod parallel;
 mod scc;
@@ -71,12 +74,14 @@ impl Default for ReachabilityLimits {
 }
 
 /// Observability counters for one box sweep: how many points the engine
-/// actually explored versus decided statically, served from the cross-point
-/// cache, or skipped as symmetry replays.  Returned by
+/// actually explored versus decided statically or skipped as symmetry
+/// replays, and how many configurations it stored.  Returned by
 /// [`check_on_box_with_stats`] and surfaced by `crn verify --stats`.
 ///
 /// The counters never influence verdicts; they exist so the effect of each
-/// incremental layer is measurable on real sweeps.
+/// incremental layer is measurable on real sweeps.  The `cache_*` and
+/// `publish_suppressed` fields are always zero; they stay so the `--stats`
+/// record keeps its shape for the tools that read it.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize)]
 pub struct BoxCheckStats {
     /// Total number of points in the box.
@@ -90,31 +95,27 @@ pub struct BoxCheckStats {
     pub static_pass: u64,
     /// Points decided `Fail` by the static interval analysis alone.
     pub static_fail: u64,
-    /// Points settled by a decision pass (fused exploration, packed, or
-    /// memoizing — including runs that populated or consulted the cache).
+    /// Points settled by an exploring decision pass.
     pub decided: u64,
-    /// Points whose decision came at least partly from cached summaries (a
-    /// root-level cache hit, or a frontier that hit summarized territory).
+    /// Always zero: a retired counter, kept so the record keeps its shape.
     pub cache_served: u64,
-    /// Configurations materialized across every exploration of the sweep.
+    /// Configurations stored across every exploration of the sweep, under
+    /// every engine; the one full re-check that materializes a failing
+    /// point's verdict is not counted.
     pub configs_explored: u64,
-    /// Lookups into the cross-point summary cache.
+    /// Always zero: a retired counter, kept so the record keeps its shape.
     pub cache_lookups: u64,
-    /// Lookups that found a summary.
+    /// Always zero: a retired counter, kept so the record keeps its shape.
     pub cache_hits: u64,
-    /// Distinct summaries held by the largest per-worker cache at the end of
-    /// the sweep.
+    /// Always zero: a retired counter, kept so the record keeps its shape.
     pub cache_entries: u64,
-    /// Component summaries discarded unpublished because their memoizing
-    /// exploration errored out (the error, not the summaries, is the
-    /// exploration's result; publishing partial work could differ between
-    /// worker interleavings).
+    /// Always zero: a retired counter, kept so the record keeps its shape.
     pub publish_suppressed: u64,
 }
 
 impl BoxCheckStats {
-    /// The fraction of cache lookups that hit, or 0.0 for a sweep that never
-    /// looked (cache disabled or no decision pass ran).
+    /// The fraction of cache lookups that hit, or 0.0 without lookups —
+    /// always the case for the sweeps this module runs.
     #[must_use]
     pub fn cache_hit_rate(&self) -> f64 {
         if self.cache_lookups == 0 {
@@ -128,21 +129,14 @@ impl BoxCheckStats {
     }
 
     /// Folds one worker's counters into the sweep totals.  `points` is set
-    /// once by the driver, and `cache_entries` reports the largest per-worker
-    /// cache (entries are duplicated across workers by the shared log, so
-    /// summing would double-count).
+    /// once by the driver.
     fn merge(&mut self, other: &BoxCheckStats) {
         self.evaluated += other.evaluated;
         self.symmetry_skipped += other.symmetry_skipped;
         self.static_pass += other.static_pass;
         self.static_fail += other.static_fail;
         self.decided += other.decided;
-        self.cache_served += other.cache_served;
         self.configs_explored += other.configs_explored;
-        self.cache_lookups += other.cache_lookups;
-        self.cache_hits += other.cache_hits;
-        self.cache_entries = self.cache_entries.max(other.cache_entries);
-        self.publish_suppressed += other.publish_suppressed;
     }
 }
 
@@ -178,10 +172,10 @@ impl ReachabilityGraph {
         let stride = arena::stride_for(compiled.stride(), start);
         let start_dense = arena::to_dense(start, stride).expect("stride covers start");
         let mut state = ExploreState::new();
-        state.run(&compiled, stride, &start_dense, limits)?;
+        state.run(&compiled, &start_dense, None, limits.max_configurations)?;
         Ok(ReachabilityGraph {
-            arena: state.arena,
-            csr: state.csr,
+            arena: state.store.arena,
+            csr: state.edges.csr,
             sparse: OnceLock::new(),
         })
     }
@@ -309,15 +303,14 @@ pub fn check_stable_computation(
 /// sharding the inputs across worker threads (up to one per available core,
 /// with each worker granted enough inputs to amortize its spawn cost).
 ///
-/// The scan runs the *incremental* box engine: on top of the static interval
-/// pruning and direct-indexed exploration of the analysis-pruned engine, it
-/// skips inputs whose symmetry orbit already contains a checked
-/// representative, memoizes per-component output-set summaries across box
-/// points (keyed by the box-wide hull code, shared across workers), and for
-/// certified-acyclic CRNs on small hulls explores through a packed byte
-/// encoding — one `u64` per configuration.  Box points are decoded from a
-/// mixed-radix index on demand, so the sweep allocates `O(1)` memory in the
-/// box size.  The result is nonetheless bit-identical to
+/// The scan runs the *incremental* box engine: it skips inputs whose
+/// symmetry orbit already contains a checked representative, decides points
+/// from the static interval analysis where it can, and otherwise explores
+/// through the mixed-radix code of the point's interval box — or, for
+/// certified-acyclic CRNs on small hulls, through a packed byte encoding,
+/// one `u64` per configuration.  Box points are decoded from a mixed-radix
+/// index on demand, so the sweep allocates `O(1)` memory in the box size.
+/// The result is nonetheless bit-identical to
 /// [`check_on_box_reference`] — the first failing verdict in lexicographic
 /// input order, the same one a sequential unpruned scan would return, byte
 /// identical failure messages and errors included — or `Ok(None)` if all
@@ -333,16 +326,7 @@ pub fn check_on_box(
     bound: u64,
     max_configurations: usize,
 ) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Incremental,
-    )
-    .0
+    check_on_box_stats(crn, f, bound, max_configurations).0
 }
 
 /// [`check_on_box`] with an explicit worker-thread count (mainly for tests
@@ -359,15 +343,7 @@ pub fn check_on_box_with_workers(
     max_configurations: usize,
     workers: usize,
 ) -> Result<Option<StableComputationVerdict>, CrnError> {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Incremental,
-    )
-    .0
+    check_on_box_with_stats(crn, f, bound, max_configurations, workers).0
 }
 
 /// [`check_on_box`] returning the sweep's [`BoxCheckStats`] alongside the
@@ -386,9 +362,10 @@ pub fn check_on_box_stats(
 }
 
 /// [`check_on_box`] returning the sweep's [`BoxCheckStats`] alongside the
-/// outcome: how many points the engine evaluated, decided statically, served
-/// from the cross-point cache, or skipped as symmetry replays.  The outcome
-/// is exactly that of [`check_on_box_with_workers`] with the same arguments.
+/// outcome: how many points the engine evaluated, decided statically or
+/// skipped as symmetry replays, and how many configurations it explored.
+/// The outcome is exactly that of [`check_on_box_with_workers`] with the
+/// same arguments.
 pub fn check_on_box_with_stats(
     crn: &FunctionCrn,
     f: impl Fn(&NVec) -> u64 + Sync,
@@ -410,8 +387,8 @@ pub fn check_on_box_with_stats(
 }
 
 /// [`check_on_box`] without any static analysis: every input runs the plain
-/// hash-interned exploration, exactly the pre-analysis engine.  Kept as the
-/// differential-testing baseline for the pruned and incremental scans (all
+/// hash-interned exploration and a full verdict, exactly the pre-analysis
+/// engine.  Kept as the differential oracle of the incremental scan (both
 /// must agree bit-for-bit, errors included).
 ///
 /// # Errors
@@ -424,16 +401,7 @@ pub fn check_on_box_reference(
     bound: u64,
     max_configurations: usize,
 ) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Reference,
-    )
-    .0
+    check_on_box_reference_stats(crn, f, bound, max_configurations).0
 }
 
 /// [`check_on_box_reference`] with an explicit worker-thread count, so
@@ -462,54 +430,10 @@ pub fn check_on_box_reference_with_workers(
     .0
 }
 
-/// The analysis-pruned box scan *without* the incremental layers: static
-/// interval pruning plus the per-point fused decision pass, exactly the
-/// engine that preceded the incremental one.  Kept as the E18 benchmark
-/// subject and the E19 comparison point; verdicts are bit-identical to both
-/// other engines.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_baseline(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    let workers = default_box_workers(crn.dim(), bound);
-    check_on_box_baseline_with_workers(crn, f, bound, max_configurations, workers)
-}
-
-/// [`check_on_box_baseline`] with an explicit worker-thread count.
-///
-/// # Errors
-///
-/// Propagates the errors of [`check_stable_computation`] exactly as
-/// [`check_on_box`] does.
-pub fn check_on_box_baseline_with_workers(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-    workers: usize,
-) -> Result<Option<StableComputationVerdict>, CrnError> {
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Baseline,
-    )
-    .0
-}
-
 /// [`check_on_box_reference`] returning the sweep's [`BoxCheckStats`]
 /// alongside the outcome (the reference engine fills only the counters it
-/// has: points, evaluated, and symmetry skips are meaningful; the pruning
-/// and cache counters stay zero).
+/// has: points, evaluated and configs explored; it skips no symmetric
+/// point and decides nothing statically).
 pub fn check_on_box_reference_stats(
     crn: &FunctionCrn,
     f: impl Fn(&NVec) -> u64 + Sync,
@@ -527,29 +451,6 @@ pub fn check_on_box_reference_stats(
         max_configurations,
         workers,
         parallel::EngineMode::Reference,
-    )
-}
-
-/// [`check_on_box_baseline`] returning the sweep's [`BoxCheckStats`]
-/// alongside the outcome (static pruning counters are meaningful; the
-/// symmetry and cache counters stay zero).
-pub fn check_on_box_baseline_stats(
-    crn: &FunctionCrn,
-    f: impl Fn(&NVec) -> u64 + Sync,
-    bound: u64,
-    max_configurations: usize,
-) -> (
-    Result<Option<StableComputationVerdict>, CrnError>,
-    BoxCheckStats,
-) {
-    let workers = default_box_workers(crn.dim(), bound);
-    parallel::check_on_box_sharded(
-        crn,
-        &f,
-        bound,
-        max_configurations,
-        workers,
-        parallel::EngineMode::Baseline,
     )
 }
 
@@ -624,13 +525,8 @@ pub fn target_reachable(
         return Ok(false);
     }
     let mut state = ExploreState::new();
-    state.run(
-        &compiled,
-        stride,
-        &start_dense,
-        ReachabilityLimits { max_configurations },
-    )?;
-    Ok(state.arena.lookup(&target_dense).is_some())
+    state.run(&compiled, &start_dense, None, max_configurations)?;
+    Ok(state.store.arena.lookup(&target_dense).is_some())
 }
 
 /// [`target_reachable`] without the static refutations: always explores.
@@ -652,13 +548,8 @@ pub fn target_reachable_exhaustive(
     let start_dense = arena::to_dense(start, stride).expect("stride covers start");
     let target_dense = arena::to_dense(target, stride).expect("stride covers target");
     let mut state = ExploreState::new();
-    state.run(
-        &compiled,
-        stride,
-        &start_dense,
-        ReachabilityLimits { max_configurations },
-    )?;
-    Ok(state.arena.lookup(&target_dense).is_some())
+    state.run(&compiled, &start_dense, None, max_configurations)?;
+    Ok(state.store.arena.lookup(&target_dense).is_some())
 }
 
 /// All configurations reachable from `start` (convenience wrapper).
@@ -815,8 +706,8 @@ mod tests {
     fn pruned_box_check_matches_reference_on_cyclic_crns() {
         // `X -> Y; Y -> X` cycles forever, so no positive input ever
         // stabilizes: the T-invariant acyclicity certificate does not apply
-        // and the pruned scan takes the fused exploration-plus-Tarjan
-        // decision path.  Both the failing box and the passing one (the
+        // and the pruned scan builds the CSR and decides on its Tarjan
+        // condensation.  Both the failing box and the passing one (the
         // identity-on-zero slice) must match the reference bit for bit.
         let mut crn = Crn::new();
         crn.parse_reaction("X -> Y").unwrap();
@@ -844,8 +735,7 @@ mod tests {
     }
 
     /// The two-reaction sum gadget `X1 -> Y; X2 -> Y`: symmetric in its
-    /// inputs, acyclic, and conserving `X1 + X2 + Y` — which leaves the
-    /// input-law rank at 1 < 2, so the cross-point cache stays enabled.
+    /// inputs, acyclic, and conserving `X1 + X2 + Y`.
     fn sum_crn() -> FunctionCrn {
         let mut crn = Crn::new();
         crn.parse_reaction("X1 -> Y").unwrap();
@@ -865,12 +755,15 @@ mod tests {
         // images.
         assert_eq!(stats.symmetry_skipped, 3);
         assert_eq!(stats.evaluated + stats.symmetry_skipped, stats.points);
-        // Later points stop their expansions on summaries cached by earlier
-        // ones (e.g. (1,1) hits territory summarized under (0,1) and (0,2)).
-        assert!(stats.cache_hits > 0, "no cache hits: {stats:?}");
-        assert!(stats.cache_entries > 0);
-        assert!(stats.cache_lookups >= stats.cache_hits);
-        assert!(stats.cache_hit_rate() > 0.0);
+        // (0,0) is pinned at output 0 by the static analysis.
+        assert!(stats.static_pass > 0, "{stats:?}");
+        assert!(stats.configs_explored > 0, "{stats:?}");
+        // The retired cache counters stay in the record at zero.
+        assert_eq!(
+            stats.cache_lookups + stats.cache_hits + stats.cache_entries,
+            0
+        );
+        assert_eq!(stats.cache_hit_rate(), 0.0);
         // Every evaluated point is accounted to exactly one engine pass.
         assert_eq!(
             stats.static_pass + stats.static_fail + stats.decided,
@@ -879,28 +772,6 @@ mod tests {
         // The sharded sweep agrees with the sequential one.
         let (sharded, _) = check_on_box_with_stats(&sum, f, 2, 10_000, 3);
         assert_eq!(sharded.unwrap(), None);
-    }
-
-    #[test]
-    fn truncated_explorations_never_populate_the_cache() {
-        // With a limit of 2 configurations: (0,0) passes statically, (0,1)
-        // explores exactly 2 configurations and publishes their summaries,
-        // (1,0) is a symmetry replay of (0,1), and (1,1) — 4 reachable
-        // configurations — blows the limit mid-exploration.  The truncated
-        // run must discard its partial summaries, leaving exactly the two
-        // entries (0,1) published, and the sweep must surface the identical
-        // (lexicographically-first) error the reference scan produces.
-        let sum = sum_crn();
-        let f = |x: &NVec| x[0] + x[1];
-        let (result, stats) = check_on_box_with_stats(&sum, f, 1, 2, 1);
-        let reference = check_on_box_reference(&sum, f, 1, 2);
-        assert_eq!(result, reference);
-        result.unwrap_err();
-        assert_eq!(stats.symmetry_skipped, 1);
-        assert_eq!(
-            stats.cache_entries, 2,
-            "the truncated run at (1,1) must not leak summaries: {stats:?}"
-        );
     }
 
     #[test]

@@ -12,13 +12,11 @@
 //! and the verdict returned is the one at the smallest index — exactly what
 //! the sequential loop would have produced.
 //!
-//! Three engine modes share the driver (see [`EngineMode`]): the unpruned
-//! reference scan, the analysis-pruned baseline, and the incremental engine
-//! layering symmetry-orbit skipping and the cross-point memo cache on top of
-//! the baseline's static pruning.
+//! Two engine modes share the driver (see [`EngineMode`]): the unpruned
+//! reference scan, and the incremental engine with symmetry-orbit skipping,
+//! static verdicts and the analyzed decision passes.
 
 use crn_sync::atomic::{AtomicU64, Ordering};
-use crn_sync::Arc;
 
 use crn_numeric::NVec;
 
@@ -26,7 +24,6 @@ use crate::error::CrnError;
 use crate::function::FunctionCrn;
 
 use super::engine::{StaticOutcome, SweepPlan, VerdictEngine};
-use super::memo::{MemoCache, Summary};
 use super::{BoxCheckStats, StableComputationVerdict};
 
 /// One input's outcome: the check failed, or the search errored out.
@@ -45,13 +42,10 @@ enum BadPoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum EngineMode {
     /// Full verdict construction at every point, no static analysis.  The
-    /// differential baseline every other mode must match bit for bit.
+    /// differential oracle the incremental mode must match bit for bit.
     Reference,
-    /// Static interval pruning plus the per-point fused decision pass — the
-    /// pre-incremental engine, kept as the E19 comparison point.
-    Baseline,
     /// The incremental engine: symmetry-orbit skipping, adaptive static
-    /// pruning, and cross-point memoization / packed exploration.
+    /// pruning, and the analyzed decision passes.
     Incremental,
 }
 
@@ -96,9 +90,9 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// (or error) of the lexicographically-first input that does not pass, plus
 /// the sweep's observability counters.
 ///
-/// All three modes return bit-identical outcomes; they differ only in how
-/// much work each point costs.  Non-reference modes record only the *index*
-/// of a bad point during the scan; the one bad index that wins the race is
+/// Both modes return bit-identical outcomes; they differ only in how much
+/// work each point costs.  The incremental mode records only the *index* of
+/// a bad point during the scan; the one bad index that wins the race is
 /// re-checked in full, so the returned outcome is byte-identical to the
 /// reference scan — failure messages and errors included.
 pub(super) fn check_on_box_sharded(
@@ -118,25 +112,13 @@ pub(super) fn check_on_box_sharded(
     let total = box_point_count(dim, bound);
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
-    // Everything point-independent is computed once for the whole sweep: the
-    // static analysis (baseline and incremental) and the incremental plan
-    // (hull code space, packed spec, input automorphisms, shared cache log).
-    let shared_analysis = match mode {
-        EngineMode::Reference => None,
-        EngineMode::Baseline | EngineMode::Incremental => Some(VerdictEngine::analyze(crn)),
-    };
-    let plan = (mode == EngineMode::Incremental).then(|| {
-        SweepPlan::build(
-            crn,
-            shared_analysis.as_ref().expect("incremental analyzes"),
-            bound,
-            max_configurations,
-        )
-    });
-    let make_engine = || match &shared_analysis {
-        Some(analysis) => VerdictEngine::with_analysis(crn, Some(Arc::clone(analysis))),
-        None => VerdictEngine::reference(crn),
-    };
+    // Everything point-independent is computed once for the whole sweep:
+    // the static analysis and the plan (packed spec, input automorphisms).
+    let shared_analysis = (mode == EngineMode::Incremental).then(|| VerdictEngine::analyze(crn));
+    let plan = shared_analysis
+        .as_ref()
+        .map(|analysis| SweepPlan::build(crn, analysis, bound));
+    let make_engine = || VerdictEngine::with_analysis(crn, shared_analysis.clone());
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see
     // DESIGN.md § Concurrency model).  Correctness of this driver does NOT
@@ -161,11 +143,6 @@ pub(super) fn check_on_box_sharded(
     // its statistics.
     let run_worker = || -> (Option<(u64, BadPoint)>, BoxCheckStats) {
         let mut engine = make_engine();
-        let mut cache = plan
-            .as_ref()
-            .is_some_and(|p| p.cache_enabled)
-            .then(MemoCache::new);
-        let mut pending: Vec<(u64, Summary)> = Vec::new();
         let mut x = NVec::zeros(dim);
         let mut y = NVec::zeros(dim);
         let mut stats = BoxCheckStats::default();
@@ -214,48 +191,20 @@ pub(super) fn check_on_box_sharded(
             }
             stats.evaluated += 1;
 
-            let passes = match mode {
-                EngineMode::Reference => {
+            let bad = match &plan {
+                // The reference mode: a full verdict at every point.
+                None => {
                     let outcome = engine.check(&x, expected, max_configurations);
-                    if matches!(&outcome, Ok(v) if v.is_correct()) {
-                        true
-                    } else {
-                        best = Some((i, BadPoint::Full(outcome)));
-                        // Ordering: AcqRel — see the audit note at the
-                        // declarations: fetch_min atomicity keeps the bound
-                        // monotone; the release half is protocol
-                        // documentation for the Acquire load above.
-                        first_bad.fetch_min(i, Ordering::AcqRel);
-                        break;
-                    }
+                    (!matches!(&outcome, Ok(v) if v.is_correct()))
+                        .then_some(BadPoint::Full(outcome))
                 }
-                EngineMode::Baseline => {
-                    match engine.static_verdict(&x, expected, max_configurations) {
-                        Some(StaticOutcome::Pass) => {
-                            stats.static_pass += 1;
-                            true
-                        }
-                        Some(StaticOutcome::Fail) => {
-                            stats.static_fail += 1;
-                            false
-                        }
-                        None => {
-                            stats.decided += 1;
-                            // An error (it would recur identically at
-                            // materialization) counts as not passing.
-                            engine
-                                .decide(&x, expected, max_configurations)
-                                .unwrap_or(false)
-                        }
-                    }
-                }
-                EngineMode::Incremental => {
+                Some(plan) => {
                     let static_outcome = if static_armed {
                         engine.static_verdict(&x, expected, max_configurations)
                     } else {
                         None
                     };
-                    match static_outcome {
+                    let passes = match static_outcome {
                         Some(StaticOutcome::Pass) => {
                             stats.static_pass += 1;
                             abstains = 0;
@@ -273,35 +222,27 @@ pub(super) fn check_on_box_sharded(
                                     static_armed = false;
                                 }
                             }
-                            let plan = plan.as_ref().expect("incremental builds a plan");
+                            stats.decided += 1;
+                            // An error (it would recur identically at
+                            // materialization) counts as not passing.
                             engine
-                                .decide_incremental(
-                                    &x,
-                                    expected,
-                                    max_configurations,
-                                    plan,
-                                    cache.as_mut(),
-                                    &mut pending,
-                                    &mut stats,
-                                )
+                                .decide(&x, expected, max_configurations, plan)
                                 .unwrap_or(false)
                         }
-                    }
+                    };
+                    (!passes).then_some(BadPoint::Deferred)
                 }
             };
-            if !passes {
-                best = Some((i, BadPoint::Deferred));
-                // Ordering: AcqRel — same audit note as the Reference-mode
-                // reduction above.
+            if let Some(bad) = bad {
+                best = Some((i, bad));
+                // Ordering: AcqRel — see the audit note at the declarations:
+                // fetch_min atomicity keeps the bound monotone; the release
+                // half is protocol documentation for the Acquire load above.
                 first_bad.fetch_min(i, Ordering::AcqRel);
                 break;
             }
         }
-        if let Some(cache) = &cache {
-            stats.cache_lookups = cache.lookups;
-            stats.cache_hits = cache.hits;
-            stats.cache_entries = u64::try_from(cache.len()).expect("usize fits u64");
-        }
+        stats.configs_explored = engine.configs_explored();
         // One registry flush per worker, after the scan: the hot loop above
         // only touches local counters.
         if crn_obs::enabled() {
@@ -374,8 +315,7 @@ pub(super) fn check_on_box_sharded(
 }
 
 /// Publishes one sweep's merged counters into the observability registry
-/// (names under `model.box.*` / `model.memo.*`); no-op unless profiling is
-/// enabled.  Counts mirror [`BoxCheckStats`] and accumulate across sweeps.
+/// (names under `model.box.*`); no-op unless profiling is enabled.  Counts mirror [`BoxCheckStats`] and accumulate across sweeps.
 fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
     if !crn_obs::enabled() {
         return;
@@ -387,12 +327,7 @@ fn publish_sweep_metrics(stats: &BoxCheckStats, workers: usize) {
     crn_obs::add("model.box.static_pass", stats.static_pass);
     crn_obs::add("model.box.static_fail", stats.static_fail);
     crn_obs::add("model.box.decided", stats.decided);
-    crn_obs::add("model.box.cache_served", stats.cache_served);
     crn_obs::add("model.box.configs_explored", stats.configs_explored);
-    crn_obs::add("model.memo.lookups", stats.cache_lookups);
-    crn_obs::add("model.memo.hits", stats.cache_hits);
-    crn_obs::add("model.memo.publish_suppressed", stats.publish_suppressed);
-    crn_obs::gauge_max("model.memo.entries", stats.cache_entries);
     crn_obs::gauge_max(
         "model.box.workers",
         u64::try_from(workers).unwrap_or(u64::MAX),

@@ -26,19 +26,105 @@ pub struct Condensation {
     /// `members[member_offsets[c]..member_offsets[c + 1]]`.
     members: Vec<usize>,
     member_offsets: Vec<usize>,
-    // Tarjan scratch, kept so `rebuild` allocates nothing when warm.
-    index: Vec<usize>,
-    lowlink: Vec<usize>,
-    on_stack: Vec<bool>,
-    stack: Vec<usize>,
-    /// `(vertex, next successor position)` frames of the simulated recursion.
-    frames: Vec<(usize, usize)>,
+    tarjan: Tarjan,
     cursor: Vec<usize>,
     // Per-component DP scratch for `all_recover`, one cell pushed at each
     // component emission.
     dp_max: Vec<u64>,
     dp_min: Vec<u64>,
     dp_rec: Vec<bool>,
+}
+
+/// The scratch of an iterative Tarjan pass, kept so repeated passes
+/// allocate nothing when warm.
+#[derive(Debug, Clone, Default)]
+struct Tarjan {
+    index: Vec<usize>,
+    lowlink: Vec<usize>,
+    on_stack: Vec<bool>,
+    stack: Vec<usize>,
+    /// `(vertex, next successor position)` frames of the simulated recursion.
+    frames: Vec<(usize, usize)>,
+}
+
+impl Tarjan {
+    /// Runs Tarjan's algorithm over `graph` with an explicit stack, so deep
+    /// chains of configurations cannot overflow the call stack.  Components
+    /// are emitted in reverse topological order: `emit(c, members,
+    /// comp_of)` sees component `c`'s members with `comp_of` already set
+    /// for them and for every earlier component — so every edge out of `c`
+    /// lands in a final component — and returns `false` to stop the pass.
+    /// Returns the component count, or `None` when stopped.
+    fn run(
+        &mut self,
+        graph: &CsrGraph,
+        comp_of: &mut Vec<usize>,
+        mut emit: impl FnMut(usize, &[usize], &[usize]) -> bool,
+    ) -> Option<usize> {
+        let n = graph.node_count();
+        self.index.clear();
+        self.index.resize(n, UNVISITED);
+        self.lowlink.clear();
+        self.lowlink.resize(n, 0);
+        self.on_stack.clear();
+        self.on_stack.resize(n, false);
+        comp_of.clear();
+        comp_of.resize(n, 0);
+        self.stack.clear();
+        self.frames.clear();
+        let mut next_index = 0usize;
+        let mut num_components = 0usize;
+
+        for root in 0..n {
+            if self.index[root] != UNVISITED {
+                continue;
+            }
+            self.frames.push((root, 0));
+            while let Some(frame) = self.frames.last_mut() {
+                let v = frame.0;
+                if frame.1 == 0 {
+                    self.index[v] = next_index;
+                    self.lowlink[v] = next_index;
+                    next_index += 1;
+                    self.stack.push(v);
+                    self.on_stack[v] = true;
+                }
+                let succs = graph.successors(v);
+                if frame.1 < succs.len() {
+                    let w = succs[frame.1];
+                    frame.1 += 1;
+                    if self.index[w] == UNVISITED {
+                        self.frames.push((w, 0));
+                    } else if self.on_stack[w] {
+                        self.lowlink[v] = self.lowlink[v].min(self.index[w]);
+                    }
+                    continue;
+                }
+                self.frames.pop();
+                if self.lowlink[v] == self.index[v] {
+                    // The component is the stack suffix of Tarjan indices at
+                    // least `index[v]` (the stack is in push = index order).
+                    let mut base = self.stack.len();
+                    while base > 0 && self.index[self.stack[base - 1]] >= self.index[v] {
+                        base -= 1;
+                    }
+                    for &w in &self.stack[base..] {
+                        self.on_stack[w] = false;
+                        comp_of[w] = num_components;
+                    }
+                    if !emit(num_components, &self.stack[base..], comp_of) {
+                        return None;
+                    }
+                    num_components += 1;
+                    self.stack.truncate(base);
+                }
+                if let Some(parent) = self.frames.last() {
+                    self.lowlink[parent.0] = self.lowlink[parent.0].min(self.lowlink[v]);
+                }
+            }
+        }
+        Some(num_components)
+    }
 }
 
 impl Condensation {
@@ -62,69 +148,10 @@ impl Condensation {
     /// internal buffer — the engine calls this once per verdict, so a box
     /// check condenses thousands of graphs with a handful of allocations.
     pub fn rebuild(&mut self, graph: &CsrGraph) {
-        let n = graph.node_count();
-        self.index.clear();
-        self.index.resize(n, UNVISITED);
-        self.lowlink.clear();
-        self.lowlink.resize(n, 0);
-        self.on_stack.clear();
-        self.on_stack.resize(n, false);
-        self.comp_of.clear();
-        self.comp_of.resize(n, 0);
-        self.stack.clear();
-        self.frames.clear();
-
-        let index = &mut self.index;
-        let lowlink = &mut self.lowlink;
-        let on_stack = &mut self.on_stack;
-        let comp_of = &mut self.comp_of;
-        let stack = &mut self.stack;
-        let frames = &mut self.frames;
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            while let Some(frame) = frames.last_mut() {
-                let v = frame.0;
-                if frame.1 == 0 {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                let succs = graph.successors(v);
-                if frame.1 < succs.len() {
-                    let w = succs[frame.1];
-                    frame.1 += 1;
-                    if index[w] == UNVISITED {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
-                    }
-                    continue;
-                }
-                frames.pop();
-                if lowlink[v] == index[v] {
-                    loop {
-                        let w = stack.pop().expect("Tarjan stack underflow");
-                        on_stack[w] = false;
-                        comp_of[w] = num_components;
-                        if w == v {
-                            break;
-                        }
-                    }
-                    num_components += 1;
-                }
-                if let Some(parent) = frames.last() {
-                    lowlink[parent.0] = lowlink[parent.0].min(lowlink[v]);
-                }
-            }
-        }
+        let num_components = self
+            .tarjan
+            .run(graph, &mut self.comp_of, |_, _, _| true)
+            .expect("an emitter that never stops");
 
         // Counting-sort the vertices by component id so the DPs can walk the
         // components in emission order.
@@ -139,7 +166,7 @@ impl Condensation {
         self.cursor.clear();
         self.cursor.extend_from_slice(&self.member_offsets);
         self.members.clear();
-        self.members.resize(n, 0);
+        self.members.resize(graph.node_count(), 0);
         for (v, &c) in self.comp_of.iter().enumerate() {
             self.members[self.cursor[c]] = v;
             self.cursor[c] += 1;
@@ -166,109 +193,37 @@ impl Condensation {
         out_of: impl Fn(usize) -> u64,
         expected: u64,
     ) -> bool {
-        let n = graph.node_count();
-        self.index.clear();
-        self.index.resize(n, UNVISITED);
-        self.lowlink.clear();
-        self.lowlink.resize(n, 0);
-        self.on_stack.clear();
-        self.on_stack.resize(n, false);
-        self.comp_of.clear();
-        self.comp_of.resize(n, 0);
-        self.stack.clear();
-        self.frames.clear();
         self.dp_max.clear();
         self.dp_min.clear();
         self.dp_rec.clear();
-
-        let index = &mut self.index;
-        let lowlink = &mut self.lowlink;
-        let on_stack = &mut self.on_stack;
-        let comp_of = &mut self.comp_of;
-        let stack = &mut self.stack;
-        let frames = &mut self.frames;
-        let dp_max = &mut self.dp_max;
-        let dp_min = &mut self.dp_min;
-        let dp_rec = &mut self.dp_rec;
-        let mut next_index = 0usize;
-        let mut num_components = 0usize;
-
-        for root in 0..n {
-            if index[root] != UNVISITED {
-                continue;
-            }
-            frames.push((root, 0));
-            while let Some(frame) = frames.last_mut() {
-                let v = frame.0;
-                if frame.1 == 0 {
-                    index[v] = next_index;
-                    lowlink[v] = next_index;
-                    next_index += 1;
-                    stack.push(v);
-                    on_stack[v] = true;
-                }
-                let succs = graph.successors(v);
-                if frame.1 < succs.len() {
-                    let w = succs[frame.1];
-                    frame.1 += 1;
-                    if index[w] == UNVISITED {
-                        frames.push((w, 0));
-                    } else if on_stack[w] {
-                        lowlink[v] = lowlink[v].min(index[w]);
+        let (dp_max, dp_min, dp_rec) = (&mut self.dp_max, &mut self.dp_min, &mut self.dp_rec);
+        let emit = |c: usize, members: &[usize], comp_of: &[usize]| {
+            let mut mx = u64::MIN;
+            let mut mn = u64::MAX;
+            let mut rec = false;
+            for &m in members {
+                let val = out_of(m);
+                mx = mx.max(val);
+                mn = mn.min(val);
+                for &w in graph.successors(m) {
+                    let cw = comp_of[w];
+                    if cw != c {
+                        mx = mx.max(dp_max[cw]);
+                        mn = mn.min(dp_min[cw]);
+                        rec = rec || dp_rec[cw];
                     }
-                    continue;
-                }
-                frames.pop();
-                if lowlink[v] == index[v] {
-                    // The component is the stack suffix of Tarjan indices at
-                    // least `index[v]` (the stack is in push = index order).
-                    let mut base = stack.len();
-                    while base > 0 && index[stack[base - 1]] >= index[v] {
-                        base -= 1;
-                    }
-                    let c = num_components;
-                    num_components += 1;
-                    for &w in &stack[base..] {
-                        on_stack[w] = false;
-                        comp_of[w] = c;
-                    }
-                    // Every edge out of the component lands in an
-                    // already-emitted (hence final) component, so the three
-                    // folds complete in this one walk of the members.
-                    let mut mx = u64::MIN;
-                    let mut mn = u64::MAX;
-                    let mut rec = false;
-                    for &m in &stack[base..] {
-                        let val = out_of(m);
-                        mx = mx.max(val);
-                        mn = mn.min(val);
-                        for &w in graph.successors(m) {
-                            let cw = comp_of[w];
-                            if cw != c {
-                                mx = mx.max(dp_max[cw]);
-                                mn = mn.min(dp_min[cw]);
-                                rec = rec || dp_rec[cw];
-                            }
-                        }
-                    }
-                    rec = rec || (mx == mn && mx == expected);
-                    if !rec {
-                        // A non-recovering component decides the answer: its
-                        // own configurations cannot recover no matter what
-                        // the rest of the graph looks like.
-                        return false;
-                    }
-                    dp_max.push(mx);
-                    dp_min.push(mn);
-                    dp_rec.push(rec);
-                    stack.truncate(base);
-                }
-                if let Some(parent) = frames.last() {
-                    lowlink[parent.0] = lowlink[parent.0].min(lowlink[v]);
                 }
             }
-        }
-        true
+            // A non-recovering component decides the answer: its own
+            // configurations cannot recover no matter what the rest of the
+            // graph looks like.
+            rec = rec || (mx == mn && mx == expected);
+            dp_max.push(mx);
+            dp_min.push(mn);
+            dp_rec.push(rec);
+            rec
+        };
+        self.tarjan.run(graph, &mut self.comp_of, emit).is_some()
     }
 
     /// The number of strongly connected components.

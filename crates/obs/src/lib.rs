@@ -22,7 +22,7 @@
 //! # Metric naming
 //!
 //! Names are dot-separated `<crate>.<subsystem>.<metric>` (for example
-//! `model.box.points`, `sim.steps`, `model.memo.hits`).  Span paths are
+//! `model.box.points`, `sim.steps`, `model.arena.collisions`).  Span paths are
 //! "/"-joined span names, innermost last (`cli.verify/model.box.sweep`).
 //!
 //! # Usage

@@ -4,11 +4,12 @@
 //! Run with `RUSTFLAGS='--cfg crn_model_check' cargo test -p crn-sync --test
 //! model`; under a normal build this file compiles to nothing.  Each test
 //! drives a 2–3 thread miniature of a load-bearing protocol — the
-//! `parallel.rs` cursor + `first_bad` reduction, the memo `SharedLog`
-//! publish path, the `crn_obs` registry (the *real* `Registry`, via the
-//! dev-dependency) — through every schedule within the stated preemption
-//! bound, plus litmus tests pinning the memory model and negative tests
-//! proving a seeded ordering bug is caught with a replayable trace.
+//! `parallel.rs` cursor + `first_bad` reduction, a publish-or-discard log
+//! (the protocol of the retired box-engine memo cache), the `crn_obs`
+//! registry (the *real* `Registry`, via the dev-dependency) — through
+//! every schedule within the stated preemption bound, plus litmus tests
+//! pinning the memory model and negative tests proving a seeded ordering
+//! bug is caught with a replayable trace.
 //!
 //! Tests print their explored-execution counts (`cargo test ... --
 //! --nocapture`); EXPERIMENTS.md E21 records the reference numbers.
@@ -102,10 +103,11 @@ fn first_bad_reduction_tolerates_relaxed() {
     );
 }
 
-/// The memo `SharedLog` soundness invariant (`memo.rs`): a worker that
-/// truncates its exploration discards its pending summaries — under no
-/// interleaving can other workers observe them, while a completed worker's
-/// batch is always published exactly once.
+/// The publish-or-discard invariant of an append-only shared log (first
+/// written for the box engine's since-retired cross-point memo cache): a
+/// worker that truncates its exploration discards its pending summaries —
+/// under no interleaving can other workers observe them, while a completed
+/// worker's batch is always published exactly once.
 #[test]
 fn memo_truncation_never_publishes() {
     let report = Checker::new().check("memo_truncation_never_publishes", || {
@@ -149,7 +151,7 @@ fn memo_truncation_never_publishes() {
     );
 }
 
-/// The memo publish path's ordering contract in miniature: a summary slot
+/// A log publish path's ordering contract in miniature: a summary slot
 /// written `Relaxed` is published by a `Release` flag store, and an
 /// `Acquire` reader that sees the flag must see the summary.  Passes
 /// exhaustively; `relaxed_publish_downgrade_is_caught` below proves the

@@ -112,3 +112,40 @@ fn characterized_specs_round_trip_through_restrictions() {
         }
     }
 }
+
+/// The box check decides synthesized CRNs carrying the T-invariant
+/// acyclicity certificate with the terminal-output scan.  Pin that the
+/// synthesized Figure 7 CRN — the `fig7-analysis` benchmark workload —
+/// carries it: no nonzero nonnegative T-invariant, shown by an empty signed
+/// basis or an empty, untruncated semiflow enumeration.  If this breaks, the
+/// workload silently moves to the cyclic (CSR plus condensation) path.
+#[test]
+fn synthesized_figure7_is_certified_acyclic() {
+    use composable_crn::model::analysis::{
+        nonnegative_t_semiflows, t_invariant_basis, Stoichiometry, FARKAS_ROW_CAP,
+    };
+    use composable_crn::model::CompiledCrn;
+
+    let source =
+        std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/corpus/figure7.crn"))
+            .expect("corpus/figure7.crn is readable");
+    let doc = composable_crn::lang::lower_document(&composable_crn::lang::parse(&source).unwrap())
+        .unwrap();
+    let [(_, f)] = doc.fns.as_slice() else {
+        panic!("corpus/figure7.crn holds exactly one fn item");
+    };
+    // `crn synthesize` characterizes at its default bound of 8.
+    let Characterization::ObliviouslyComputable { spec } = characterize(f, 8).unwrap() else {
+        panic!("the Figure 7 function must be obliviously computable");
+    };
+    let crn = synthesize(&spec).unwrap();
+    let stoich = Stoichiometry::of(&CompiledCrn::compile(crn.crn()));
+    let certified = t_invariant_basis(&stoich).is_empty() || {
+        let flows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
+        !flows.truncated && flows.semiflows.is_empty()
+    };
+    assert!(
+        certified,
+        "synthesized figure7 lost its acyclicity certificate"
+    );
+}
