@@ -247,3 +247,25 @@ fn interleaving_independent_counters_match_at_every_worker_count() {
         "sim.steps/sim.trials differ between 1 and 4 workers"
     );
 }
+
+#[test]
+fn verify_profile_attributes_lint_and_builds_one_analysis() {
+    // Lint and the box sweep read the item's one shared analysis: a
+    // single-item document builds it exactly once, and both the lint pass
+    // and the analysis fills show up as named spans.
+    let path = scratch("profile_analysis.crn", DOUBLE_DOC);
+    let (code, plain, _) = run_crn(&["verify", &path, "--bound", "3"]);
+    assert_eq!(code, 0);
+    let (code, profiled, stderr) = run_crn(&["verify", &path, "--bound", "3", "--profile"]);
+    assert_eq!(code, 0);
+    assert_eq!(plain, profiled, "--profile changed verify's stdout");
+    assert!(stderr.contains("cli.verify/model.lint "), "{stderr}");
+    assert!(
+        stderr.contains("cli.verify/model.lint/model.analysis "),
+        "{stderr}"
+    );
+    let (code, json, _) = run_crn(&["verify", &path, "--bound", "3", "--json", "--profile"]);
+    assert_eq!(code, 0);
+    assert_eq!(json_counter(&json, "model.analysis.builds"), 1, "{json}");
+    assert!(json.contains("\"cli.verify/model.lint\":"), "{json}");
+}

@@ -34,7 +34,8 @@ use crn_numeric::gcd_i128;
 
 use crate::compiled::CompiledCrn;
 
-use super::invariants::{farkas_annul, retain_minimal_support, ConservationLaw, FARKAS_ROW_CAP};
+use super::farkas::Kernel;
+use super::invariants::{ConservationLaw, FARKAS_ROW_CAP};
 use super::liveness::Liveness;
 use super::stoichiometry::Stoichiometry;
 
@@ -69,9 +70,18 @@ impl SpeciesBounds {
     /// intermediate Farkas rows per column.
     #[must_use]
     pub fn with_cap(compiled: &CompiledCrn, max_rows: usize) -> Self {
-        let stoich = Stoichiometry::of(compiled);
-        let (decreasing, cut_dec) = monotone_potentials(&stoich, 1, max_rows);
-        let (increasing, cut_inc) = monotone_potentials(&stoich, -1, max_rows);
+        Self::from_stoichiometry(&Stoichiometry::of(compiled), max_rows, Kernel::INDEXED)
+    }
+
+    /// Enumerates both potential cones of an already-built stoichiometry
+    /// matrix through the given Farkas kernel.
+    pub(super) fn from_stoichiometry(
+        stoich: &Stoichiometry,
+        max_rows: usize,
+        kernel: Kernel,
+    ) -> Self {
+        let (decreasing, cut_dec) = monotone_potentials(stoich, 1, max_rows, kernel);
+        let (increasing, cut_inc) = monotone_potentials(stoich, -1, max_rows, kernel);
         SpeciesBounds {
             stride: stoich.stride(),
             decreasing,
@@ -106,6 +116,12 @@ impl SpeciesBounds {
     #[must_use]
     pub fn decreasing_potentials(&self) -> &[Vec<i128>] {
         &self.decreasing
+    }
+
+    /// The increasing-potential generators (one weight vector per row).
+    #[must_use]
+    pub fn increasing_potentials(&self) -> &[Vec<i128>] {
+        &self.increasing
     }
 
     /// Sound per-species count intervals for every configuration reachable
@@ -412,6 +428,7 @@ fn monotone_potentials(
     stoich: &Stoichiometry,
     sign: i128,
     max_rows: usize,
+    kernel: Kernel,
 ) -> (Vec<Vec<i128>>, bool) {
     let species = stoich.stride();
     let reactions = stoich.reaction_count();
@@ -435,7 +452,7 @@ fn monotone_potentials(
         table.push(row);
     }
 
-    let (table, truncated) = farkas_annul(table, reactions, max_rows);
+    let (table, truncated) = (kernel.annul)(table, reactions, max_rows);
 
     // Keep minimal-support rows of the full (v, w) cone — those include all
     // extreme rays — then project out the slack half.
@@ -444,7 +461,7 @@ fn monotone_potentials(
         .map(|row| row[reactions..].to_vec())
         .filter(|payload| payload[..species].iter().any(|&w| w != 0))
         .collect();
-    retain_minimal_support(&mut rows, |row| row.iter().map(|&w| w != 0).collect());
+    (kernel.retain_minimal)(&mut rows);
     let mut potentials: Vec<Vec<i128>> = rows
         .into_iter()
         .map(|row| {

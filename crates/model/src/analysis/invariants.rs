@@ -20,6 +20,7 @@ use crn_numeric::{gcd_i128, lcm_i128, Rational};
 
 use crate::species::SpeciesSet;
 
+use super::farkas::Kernel;
 use super::stoichiometry::Stoichiometry;
 
 /// An integer conservation law: weights `v` with `v·N = 0`, stored as one
@@ -224,72 +225,6 @@ pub struct SemiflowEnumeration {
     pub truncated: bool,
 }
 
-/// Runs the Farkas annulment loop over the first `annul` columns of `table`,
-/// combining positive/negative row pairs with positive coefficients and
-/// keeping at most `max_rows` intermediate rows per column.  Returns the
-/// surviving rows (whose first `annul` entries are all zero) and whether the
-/// cap cut the enumeration short.
-pub(super) fn farkas_annul(
-    mut table: Vec<Vec<i128>>,
-    annul: usize,
-    max_rows: usize,
-) -> (Vec<Vec<i128>>, bool) {
-    let mut truncated = false;
-    for col in 0..annul {
-        let (zero, nonzero): (Vec<_>, Vec<_>) = table.drain(..).partition(|row| row[col] == 0);
-        let mut next = zero;
-        let positive: Vec<&Vec<i128>> = nonzero.iter().filter(|row| row[col] > 0).collect();
-        let negative: Vec<&Vec<i128>> = nonzero.iter().filter(|row| row[col] < 0).collect();
-        'pairs: for p in &positive {
-            for n in &negative {
-                let a = -n[col];
-                let b = p[col];
-                let mut combined: Vec<i128> = p
-                    .iter()
-                    .zip(n.iter())
-                    .map(|(&x, &y)| a * x + b * y)
-                    .collect();
-                debug_assert_eq!(combined[col], 0);
-                let g = combined.iter().fold(0i128, |acc, &w| gcd_i128(acc, w));
-                if g > 1 {
-                    for w in &mut combined {
-                        *w /= g;
-                    }
-                }
-                if !next.contains(&combined) {
-                    next.push(combined);
-                }
-                if next.len() >= max_rows {
-                    truncated = true;
-                    break 'pairs;
-                }
-            }
-        }
-        table = next;
-    }
-    (table, truncated)
-}
-
-/// Drops every item whose support strictly contains another item's support.
-/// Items with empty support are kept untouched (and must not occur alongside
-/// nonempty ones, or they would knock everything out).
-pub(super) fn retain_minimal_support<T>(items: &mut Vec<T>, support_of: impl Fn(&T) -> Vec<bool>) {
-    let supports: Vec<Vec<bool>> = items.iter().map(&support_of).collect();
-    let minimal: Vec<bool> = supports
-        .iter()
-        .enumerate()
-        .map(|(i, sup)| {
-            !supports.iter().enumerate().any(|(j, other)| {
-                i != j
-                    && other.iter().zip(sup).all(|(&o, &s)| !o || s)
-                    && sup.iter().zip(other).any(|(&s, &o)| s && !o)
-            })
-        })
-        .collect();
-    let mut keep = minimal.into_iter();
-    items.retain(|_| keep.next().expect("one flag per item"));
-}
-
 /// Minimal-support nonnegative conservation laws (P-semiflows) by the Farkas
 /// algorithm, capped at `max_rows` intermediate rows, with the truncation
 /// flag surfaced.
@@ -303,6 +238,15 @@ pub(super) fn retain_minimal_support<T>(items: &mut Vec<T>, support_of: impl Fn(
 /// fabricates one.
 #[must_use]
 pub fn nonnegative_laws_capped(stoich: &Stoichiometry, max_rows: usize) -> SemiflowEnumeration {
+    semiflows_with(stoich, max_rows, Kernel::INDEXED)
+}
+
+/// [`nonnegative_laws_capped`] through the given Farkas kernel.
+pub(super) fn semiflows_with(
+    stoich: &Stoichiometry,
+    max_rows: usize,
+    kernel: Kernel,
+) -> SemiflowEnumeration {
     let species = stoich.stride();
     let reactions = stoich.reaction_count();
     // Each row is [reaction part (length R) | species weights (length S)].
@@ -317,18 +261,21 @@ pub fn nonnegative_laws_capped(stoich: &Stoichiometry, max_rows: usize) -> Semif
         })
         .collect();
 
-    let (table, truncated) = farkas_annul(table, reactions, max_rows);
+    let (table, truncated) = (kernel.annul)(table, reactions, max_rows);
 
-    let mut laws: Vec<ConservationLaw> = table
-        .into_iter()
-        .filter_map(|row| ConservationLaw::primitive(row[reactions..].to_vec()))
-        .collect();
     // Keep only minimal-support laws: drop any law whose support strictly
     // contains another law's support (the Farkas combination step can emit
     // sums of smaller semiflows).
-    retain_minimal_support(&mut laws, |law| {
-        law.weights().iter().map(|&w| w != 0).collect()
-    });
+    let mut rows: Vec<Vec<i128>> = table
+        .into_iter()
+        .map(|row| row[reactions..].to_vec())
+        .filter(|weights| weights.iter().any(|&w| w != 0))
+        .collect();
+    (kernel.retain_minimal)(&mut rows);
+    let mut laws: Vec<ConservationLaw> = rows
+        .into_iter()
+        .filter_map(ConservationLaw::primitive)
+        .collect();
     laws.sort_by(|a, b| a.weights().cmp(b.weights()));
     laws.dedup();
     SemiflowEnumeration { laws, truncated }

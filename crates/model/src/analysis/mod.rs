@@ -20,6 +20,10 @@
 //!   engine consumes to refuse, prove, or perfect-hash box points;
 //! * [`Liveness`] — a producible-species / fireable-reaction fixpoint whose
 //!   negative verdicts are exact (dead means dead);
+//! * [`Analysis`] — the one analysis object of a CRN
+//!   ([`FunctionCrn::analysis`](crate::FunctionCrn::analysis)): the compiled
+//!   CRN plus lazily filled stoichiometry, species bounds, conservation
+//!   basis and T-semiflows, read by the lints and the box engine alike;
 //! * [`lint`] — stable-coded structural findings `C001`–`C009` consumed by
 //!   the `crn lint` CLI subcommand ([`lint_full`] adds the "analysis
 //!   incomplete" notes emitted when an enumeration cap truncated).
@@ -30,9 +34,11 @@
 //! the flag.
 
 mod bounds;
+mod farkas;
 mod invariants;
 mod lints;
 mod liveness;
+mod shared;
 mod siphons;
 mod stoichiometry;
 mod t_invariants;
@@ -44,6 +50,7 @@ pub use invariants::{
 };
 pub use lints::{lint, lint_full, Lint, LintCode, LintOutcome};
 pub use liveness::Liveness;
+pub use shared::Analysis;
 pub use siphons::{minimal_siphons, minimal_traps, StructuralSets, SIPHON_NODE_CAP};
 pub use stoichiometry::Stoichiometry;
 pub use t_invariants::{

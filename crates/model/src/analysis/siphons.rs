@@ -129,13 +129,7 @@ fn minimal_closed_sets(
         .into_iter()
         .map(|set| (0..stride).filter(|&s| set[s]).collect())
         .collect();
-    super::invariants::retain_minimal_support(&mut sets, |set| {
-        let mut sup = vec![false; stride];
-        for &s in set {
-            sup[s] = true;
-        }
-        sup
-    });
+    super::farkas::retain_minimal_support(&mut sets);
     sets.sort_by(|a, b| a.len().cmp(&b.len()).then_with(|| a.cmp(b)));
     sets.dedup();
     StructuralSets { sets, truncated }

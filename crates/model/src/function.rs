@@ -3,7 +3,9 @@
 use serde::{Deserialize, Serialize};
 
 use crn_numeric::NVec;
+use crn_sync::OnceLock;
 
+use crate::analysis::Analysis;
 use crate::config::Configuration;
 use crate::crn::Crn;
 use crate::error::CrnError;
@@ -33,10 +35,44 @@ pub struct Roles {
 /// assert_eq!(initial.count(double.roles().inputs[0]), 3);
 /// assert!(double.is_output_oblivious());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+///
+/// A `FunctionCrn` is immutable after construction, so it carries its own
+/// static [`Analysis`], built on first use by [`analysis`](Self::analysis).
+/// The analysis takes no part in equality, `Debug` or serde, and a clone
+/// starts without one.
+#[derive(Clone, Serialize, Deserialize)]
 pub struct FunctionCrn {
     crn: Crn,
     roles: Roles,
+    #[serde(skip)]
+    analysis: AnalysisCell,
+}
+
+/// The lazily built [`Analysis`] of a [`FunctionCrn`], boxed so that a
+/// CRN that is never analyzed pays one pointer for it.
+#[derive(Default)]
+struct AnalysisCell(OnceLock<Box<Analysis>>);
+
+impl Clone for AnalysisCell {
+    /// Starts empty: the clone rebuilds its analysis on first use.
+    fn clone(&self) -> Self {
+        AnalysisCell::default()
+    }
+}
+
+impl PartialEq for FunctionCrn {
+    fn eq(&self, other: &Self) -> bool {
+        self.crn == other.crn && self.roles == other.roles
+    }
+}
+
+impl std::fmt::Debug for FunctionCrn {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FunctionCrn")
+            .field("crn", &self.crn)
+            .field("roles", &self.roles)
+            .finish()
+    }
 }
 
 impl FunctionCrn {
@@ -66,7 +102,11 @@ impl FunctionCrn {
                 "output species cannot also be the leader".into(),
             ));
         }
-        Ok(FunctionCrn { crn, roles })
+        Ok(FunctionCrn {
+            crn,
+            roles,
+            analysis: AnalysisCell::default(),
+        })
     }
 
     /// Convenience constructor resolving role species by name.
@@ -106,6 +146,16 @@ impl FunctionCrn {
     #[must_use]
     pub fn crn(&self) -> &Crn {
         &self.crn
+    }
+
+    /// The static analysis of the CRN, built on the first call and shared by
+    /// every later one: the lints, the box engine and the sweep plan all read
+    /// this one object.
+    #[must_use]
+    pub fn analysis(&self) -> &Analysis {
+        self.analysis
+            .0
+            .get_or_init(|| Box::new(Analysis::new(&self.crn)))
     }
 
     /// The species roles.

@@ -7,13 +7,10 @@
 //! certified-acyclic CRNs on the fly.  [`VerdictEngine`] keeps the buffers
 //! alive across the points of a box sweep.
 
-use crn_sync::Arc;
-
 use crn_numeric::NVec;
 
 use crate::analysis::{
-    conservation_basis, nonnegative_t_semiflows, t_invariant_basis, ConservationLaw,
-    CountIntervals, Liveness, SpeciesBounds, Stoichiometry, FARKAS_ROW_CAP,
+    conservation_basis, Analysis, ConservationLaw, CountIntervals, Liveness, Stoichiometry,
 };
 use crate::compiled::{CompiledCrn, CompiledReaction};
 use crate::error::CrnError;
@@ -30,21 +27,6 @@ use super::StableComputationVerdict;
 /// that reaction offsets stay representable (`i64`); the cap keeps the
 /// arithmetic comfortably clear of overflow.
 const DIRECT_INDEX_CAP: u128 = 1 << 62;
-
-/// The point-independent static-analysis artifacts of an analyzed engine:
-/// monotone potential bounds, the signed conservation-law basis, and the
-/// T-invariant acyclicity certificate.
-pub(super) struct BoxAnalysis {
-    bounds: SpeciesBounds,
-    laws: Vec<ConservationLaw>,
-    /// No nonzero nonnegative T-invariant exists: no firing sequence can
-    /// restore a configuration, so *every* reachability graph of this CRN is
-    /// acyclic (a cycle's firing-count vector would be such an invariant).
-    /// Certified either by a trivial signed T-invariant basis
-    /// ([`t_invariant_basis`] is complete and uncapped) or by an untruncated
-    /// empty T-semiflow enumeration.
-    acyclic: bool,
-}
 
 /// A perfect mixed-radix encoding of the interval box
 /// `∏ [lower(s), upper(s)]` proven to contain every reachable configuration:
@@ -893,8 +875,8 @@ impl Sink<usize> for Edges {
     }
 }
 
-/// The decision sink for a CRN whose [`BoxAnalysis`] carries the
-/// acyclicity certificate: every reachability graph is a DAG, whose sink
+/// The decision sink for a CRN whose [`Analysis`] carries the acyclicity
+/// certificate: every reachability graph is a DAG, whose sink
 /// components are the *terminal* configurations, so "every component
 /// recovers" is "every terminal configuration carries the expected output".
 /// The exploration stops at the first bad terminal.
@@ -1030,10 +1012,10 @@ pub(super) struct SweepPlan {
 }
 
 impl SweepPlan {
-    pub(super) fn build(crn: &FunctionCrn, analysis: &BoxAnalysis, bound: u64) -> SweepPlan {
-        let compiled = CompiledCrn::compile(crn.crn());
+    pub(super) fn build(crn: &FunctionCrn, analysis: &Analysis, bound: u64) -> SweepPlan {
+        let compiled = analysis.compiled();
         let stride = compiled.stride().max(crn.role_stride());
-        let packed = if analysis.acyclic {
+        let packed = if analysis.acyclic() {
             // The hull is the interval analysis seeded at the box's top
             // corner: the monotone potentials and the liveness closure both
             // grow with the start, so the resulting box contains every
@@ -1046,41 +1028,39 @@ impl SweepPlan {
                 top[leader.index()] += 1;
             }
             let support: Vec<usize> = (0..stride).filter(|&s| top[s] > 0).collect();
-            let live = Liveness::analyze(&compiled, &support);
-            let hull = analysis.bounds.box_hull(&top, &live);
-            PackedSpec::build(&hull, &compiled, &analysis.laws, stride)
+            let live = Liveness::analyze(compiled, &support);
+            let hull = analysis.bounds().box_hull(&top, &live);
+            PackedSpec::build(&hull, compiled, analysis.conservation_basis(), stride)
         } else {
             None
         };
         SweepPlan {
             packed,
-            perms: symmetry::input_automorphisms(crn, &compiled),
+            perms: symmetry::input_automorphisms(crn, compiled),
         }
     }
 }
 
-/// A reusable stable-computation checker for one CRN: reactions are compiled
-/// once, and the exploration state, condensation scratch and component arrays
-/// are recycled across [`check`](VerdictEngine::check) calls.  The parallel
-/// box driver gives each worker thread one engine.
+/// A reusable stable-computation checker for one CRN: the exploration state,
+/// condensation scratch and component arrays are recycled across
+/// [`check`](VerdictEngine::check) calls.  The parallel box driver gives
+/// each worker thread one engine; all of them borrow the CRN's one shared
+/// [`Analysis`] (its compiled reactions included).
 ///
-/// An *analyzed* engine ([`new`](VerdictEngine::new)) additionally carries
-/// the static-analysis artifacts — monotone-potential [`SpeciesBounds`], the
-/// signed conservation-law basis and the acyclicity certificate — and uses
-/// them to (a) answer [`static_verdict`](VerdictEngine::static_verdict)
-/// queries without building an arena and (b) explore through the
-/// [`BoxCodeIndex`] whenever the proven interval box is finite.  A
-/// *reference* engine ([`with_analysis`](VerdictEngine::with_analysis) with
-/// `None`) skips all of it and always explores through the [`HashIndex`] —
-/// the in-tree differential oracle; both produce bit-identical verdicts.
+/// An *analyzed* engine reads the static
+/// analysis — monotone-potential bounds, the signed conservation-law basis
+/// and the acyclicity certificate — and uses it to (a) answer
+/// [`static_verdict`](VerdictEngine::static_verdict) queries without
+/// building an arena and (b) explore through the [`BoxCodeIndex`] whenever
+/// the proven interval box is finite.  A *reference* engine skips all of it
+/// and always explores through the [`HashIndex`] — the in-tree differential
+/// oracle; both produce bit-identical verdicts.
 pub(super) struct VerdictEngine<'c> {
     crn: &'c FunctionCrn,
-    compiled: CompiledCrn,
+    compiled: &'c CompiledCrn,
     stride: usize,
-    /// Static-analysis artifacts; `None` on a reference engine.  Behind an
-    /// `Arc` because they depend only on the CRN: the box driver computes
-    /// them once and every worker engine shares the result.
-    analysis: Option<Arc<BoxAnalysis>>,
+    /// The CRN's static analysis; `None` on a reference engine.
+    analysis: Option<&'c Analysis>,
     /// The interval analysis of the last analyzed start configuration, so a
     /// [`static_verdict`](VerdictEngine::static_verdict) followed by a
     /// [`decide`](VerdictEngine::decide) on the same point pays for liveness
@@ -1096,30 +1076,31 @@ pub(super) struct VerdictEngine<'c> {
 }
 
 impl<'c> VerdictEngine<'c> {
-    /// Compiles `crn`'s reactions, computes the static analysis and readies
-    /// the scratch.
-    pub(super) fn new(crn: &'c FunctionCrn) -> Self {
-        let analysis = Self::analyze(crn);
-        Self::with_analysis(crn, Some(analysis))
-    }
-
-    /// The per-CRN static analysis of an analyzed engine: monotone potential
-    /// bounds, the signed conservation-law basis and the acyclicity
-    /// certificate.  Point independent, so a box driver computes it once and
-    /// hands clones of the `Arc` to every worker via
-    /// [`with_analysis`](VerdictEngine::with_analysis).
-    pub(super) fn analyze(crn: &FunctionCrn) -> Arc<BoxAnalysis> {
-        let compiled = CompiledCrn::compile(crn.crn());
-        let stoich = Stoichiometry::of(&compiled);
-        let acyclic = t_invariant_basis(&stoich).is_empty() || {
-            let flows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
-            !flows.truncated && flows.semiflows.is_empty()
-        };
-        Arc::new(BoxAnalysis {
-            bounds: SpeciesBounds::of(&compiled),
-            laws: conservation_basis(&stoich),
-            acyclic,
-        })
+    /// An engine on `crn`'s shared [`Analysis`]: an analyzed engine when
+    /// `analyzed`, else a reference engine.
+    pub(super) fn new(crn: &'c FunctionCrn, analyzed: bool) -> Self {
+        let analysis = crn.analysis();
+        let compiled = analysis.compiled();
+        // The stride must cover every species the check can touch: the
+        // compiled stride spans the CRN's own set plus any foreign species a
+        // reaction sneaks in (`add_reaction` does not validate membership),
+        // and the role stride covers the species the start configuration is
+        // built from.
+        let stride = compiled.stride().max(crn.role_stride());
+        VerdictEngine {
+            crn,
+            compiled,
+            stride,
+            analysis: analyzed.then_some(analysis),
+            cached_intervals: None,
+            state: ExploreState::new(),
+            cond: Condensation::empty(),
+            start_dense: Vec::new(),
+            start_support: Vec::new(),
+            comp_max: Vec::new(),
+            comp_min: Vec::new(),
+            comp_recovers: Vec::new(),
+        }
     }
 
     /// `(collisions, grows)` of the engine's configuration arena, cumulative
@@ -1131,32 +1112,6 @@ impl<'c> VerdictEngine<'c> {
     /// Configurations stored by every exploration this engine ran.
     pub(super) fn configs_explored(&self) -> u64 {
         self.state.explored
-    }
-
-    /// An engine with the given (possibly shared) analysis artifacts, or a
-    /// reference engine when `None`.
-    pub(super) fn with_analysis(crn: &'c FunctionCrn, analysis: Option<Arc<BoxAnalysis>>) -> Self {
-        let compiled = CompiledCrn::compile(crn.crn());
-        // The stride must cover every species the check can touch: the
-        // compiled stride spans the CRN's own set plus any foreign species a
-        // reaction sneaks in (`add_reaction` does not validate membership),
-        // and the role stride covers the species the start configuration is
-        // built from.
-        let stride = compiled.stride().max(crn.role_stride());
-        VerdictEngine {
-            crn,
-            compiled,
-            stride,
-            analysis,
-            cached_intervals: None,
-            state: ExploreState::new(),
-            cond: Condensation::empty(),
-            start_dense: Vec::new(),
-            start_support: Vec::new(),
-            comp_max: Vec::new(),
-            comp_min: Vec::new(),
-            comp_recovers: Vec::new(),
-        }
     }
 
     /// Checks the arity of `x` and builds the initial configuration `I_x`
@@ -1183,7 +1138,7 @@ impl<'c> VerdictEngine<'c> {
     /// The reachable-count intervals of the current `start_dense`, computed
     /// at most once per start; `None` on a reference engine.
     fn intervals(&mut self) -> Option<&CountIntervals> {
-        let BoxAnalysis { bounds, laws, .. } = &**self.analysis.as_ref()?;
+        let analysis = self.analysis?;
         let stale = self
             .cached_intervals
             .as_ref()
@@ -1192,8 +1147,12 @@ impl<'c> VerdictEngine<'c> {
             self.start_support.clear();
             self.start_support
                 .extend((0..self.stride).filter(|&s| self.start_dense[s] > 0));
-            let live = Liveness::analyze(&self.compiled, &self.start_support);
-            let intervals = bounds.intervals(&self.start_dense, &live, laws);
+            let live = Liveness::analyze(self.compiled, &self.start_support);
+            let intervals = analysis.bounds().intervals(
+                &self.start_dense,
+                &live,
+                analysis.conservation_basis(),
+            );
             self.cached_intervals = Some((self.start_dense.clone(), intervals));
         }
         self.cached_intervals
@@ -1240,7 +1199,7 @@ impl<'c> VerdictEngine<'c> {
     fn box_spec(&mut self) -> Option<DirectSpec> {
         self.intervals()?;
         let (_, intervals) = self.cached_intervals.as_ref()?;
-        DirectSpec::build(intervals, &self.compiled, DIRECT_INDEX_CAP)
+        DirectSpec::build(intervals, self.compiled, DIRECT_INDEX_CAP)
     }
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
@@ -1278,16 +1237,16 @@ impl<'c> VerdictEngine<'c> {
             };
         }
         let spec = self.box_spec();
-        let acyclic = self.analysis.as_ref().is_some_and(|a| a.acyclic);
+        let acyclic = self.analysis.is_some_and(Analysis::acyclic);
         match &spec {
             Some(spec) if acyclic => {
                 let (store, explored) = (&mut self.state.store, &mut self.state.explored);
-                let mut index = BoxCodeIndex::new(store, spec, &self.compiled, &self.start_dense);
+                let mut index = BoxCodeIndex::new(store, spec, self.compiled, &self.start_dense);
                 explore(&mut index, &mut scan, max_configurations, explored)
             }
             _ => {
                 self.state.run(
-                    &self.compiled,
+                    self.compiled,
                     &self.start_dense,
                     spec.as_ref(),
                     max_configurations,
@@ -1314,7 +1273,7 @@ impl<'c> VerdictEngine<'c> {
         self.build_start(x)?;
         let spec = self.box_spec();
         self.state.run(
-            &self.compiled,
+            self.compiled,
             &self.start_dense,
             spec.as_ref(),
             max_configurations,

@@ -296,7 +296,7 @@ pub fn check_stable_computation(
     expected_output: u64,
     max_configurations: usize,
 ) -> Result<StableComputationVerdict, CrnError> {
-    VerdictEngine::new(crn).check(x, expected_output, max_configurations)
+    VerdictEngine::new(crn, true).check(x, expected_output, max_configurations)
 }
 
 /// Checks stable computation of `f` on every input in the box `[0, bound]^d`,

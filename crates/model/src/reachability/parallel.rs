@@ -113,12 +113,12 @@ pub(super) fn check_on_box_sharded(
     let workers = workers.clamp(1, usize::try_from(total).unwrap_or(usize::MAX).max(1));
 
     // Everything point-independent is computed once for the whole sweep:
-    // the static analysis and the plan (packed spec, input automorphisms).
-    let shared_analysis = (mode == EngineMode::Incremental).then(|| VerdictEngine::analyze(crn));
-    let plan = shared_analysis
-        .as_ref()
-        .map(|analysis| SweepPlan::build(crn, analysis, bound));
-    let make_engine = || VerdictEngine::with_analysis(crn, shared_analysis.clone());
+    // the plan (packed spec, input automorphisms) here, and the static
+    // analysis once per CRN, shared with any lint run on the same item.
+    // Workers borrow both.
+    let analyzed = mode == EngineMode::Incremental;
+    let plan = analyzed.then(|| SweepPlan::build(crn, crn.analysis(), bound));
+    let make_engine = || VerdictEngine::new(crn, analyzed);
 
     // Ordering audit (model-checked in crn-sync tests/model.rs; see
     // DESIGN.md § Concurrency model).  Correctness of this driver does NOT

@@ -122,7 +122,8 @@ fn characterized_specs_round_trip_through_restrictions() {
 #[test]
 fn synthesized_figure7_is_certified_acyclic() {
     use composable_crn::model::analysis::{
-        nonnegative_t_semiflows, t_invariant_basis, Stoichiometry, FARKAS_ROW_CAP,
+        lint_full, nonnegative_t_semiflows, t_invariant_basis, SpeciesBounds, Stoichiometry,
+        FARKAS_ROW_CAP,
     };
     use composable_crn::model::CompiledCrn;
 
@@ -139,7 +140,8 @@ fn synthesized_figure7_is_certified_acyclic() {
         panic!("the Figure 7 function must be obliviously computable");
     };
     let crn = synthesize(&spec).unwrap();
-    let stoich = Stoichiometry::of(&CompiledCrn::compile(crn.crn()));
+    let compiled = CompiledCrn::compile(crn.crn());
+    let stoich = Stoichiometry::of(&compiled);
     let certified = t_invariant_basis(&stoich).is_empty() || {
         let flows = nonnegative_t_semiflows(&stoich, FARKAS_ROW_CAP);
         !flows.truncated && flows.semiflows.is_empty()
@@ -147,5 +149,34 @@ fn synthesized_figure7_is_certified_acyclic() {
     assert!(
         certified,
         "synthesized figure7 lost its acyclicity certificate"
+    );
+    assert!(crn.analysis().acyclic());
+
+    // The potential enumeration hits the row cap; the rows it returns up to
+    // that point are pinned in tests/golden, digit per species.
+    let bounds = SpeciesBounds::of(&compiled);
+    assert!(
+        bounds.truncated(),
+        "figure7's potential cones stop truncating"
+    );
+    let golden = include_str!("golden/figure7_potentials.txt");
+    let mut cones: [Vec<Vec<i128>>; 2] = [Vec::new(), Vec::new()];
+    let mut cone = 0;
+    for line in golden.lines().filter(|l| !l.starts_with('#')) {
+        match line {
+            "decreasing" => cone = 0,
+            "increasing" => cone = 1,
+            digits => cones[cone].push(digits.bytes().map(|b| i128::from(b - b'0')).collect()),
+        }
+    }
+    assert_eq!(bounds.decreasing_potentials(), cones[0].as_slice());
+    assert_eq!(bounds.increasing_potentials(), cones[1].as_slice());
+    assert_eq!(crn.analysis().bounds(), &bounds);
+    assert!(
+        lint_full(&crn)
+            .notes
+            .iter()
+            .any(|n| n.contains("potential enumeration truncated at 4096 rows")),
+        "the truncation note must still be emitted"
     );
 }
