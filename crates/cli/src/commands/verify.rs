@@ -28,8 +28,15 @@ pub const ENGINES: [&str; 3] = ["incremental", "reference", "seed"];
 /// `incremental` (default) runs the incremental box engine (symmetry orbits,
 /// static verdicts, analyzed exploration), `reference` the unpruned
 /// hash-interned engine and `seed` the naive fixpoint oracle — all must
-/// produce identical verdicts, which the CI corpus smoke step cross-checks.
-/// `--engine` is meaningless under `--spot` and refused there.
+/// produce identical verdicts wherever they complete, which the CI corpus
+/// smoke step cross-checks.  `--engine` is meaningless under `--spot` and
+/// refused there.
+///
+/// `--max-configs` bounds the configurations one input's search stores; a
+/// search that outgrows it gives up (exit 1).  On a certified-acyclic CRN
+/// the `incremental` engine decides on a stubborn-set reduction of the
+/// reachable set, so it can conclude within a budget the other engines
+/// exceed.
 ///
 /// `--stats` prints one line of engine counters per verified item to stderr
 /// as JSON — points checked versus statically decided or symmetry-replayed,

@@ -290,6 +290,28 @@ fn verify_engines_agree_and_honor_deny_warnings() {
     assert_eq!(code, 2);
 }
 
+/// `--max-configs` bounds the configurations a decision stores.  On the
+/// certified-acyclic `max` CRN the default engine stores only a stubborn-set
+/// reduction of each reachable set and concludes at (2, 2) within 10, where
+/// the unreduced reference engine gives up.
+#[test]
+fn max_configs_bounds_the_stored_configurations_of_each_engine() {
+    let args = [
+        "verify",
+        concat!(env!("CARGO_MANIFEST_DIR"), "/../../corpus/figure1_max.crn"),
+        "--bound",
+        "2",
+        "--max-configs",
+        "10",
+    ];
+    let (code, stdout, stderr) = run_crn(&args);
+    assert_eq!(code, 0, "{stdout}\n{stderr}");
+    assert!(stdout.ends_with(": ok (exhaustive)\n"), "{stdout}");
+    let (code, stdout, stderr) = run_crn(&[&args[..], &["--engine", "reference"]].concat());
+    assert_eq!(code, 1, "{stdout}\n{stderr}");
+    assert!(stdout.contains("exhaustive search gave up"), "{stdout}");
+}
+
 /// The engines `crn --help` advertises are exactly the ones `crn verify`
 /// accepts.
 #[test]

@@ -269,3 +269,25 @@ fn verify_profile_attributes_lint_and_builds_one_analysis() {
     assert_eq!(json_counter(&json, "model.analysis.builds"), 1, "{json}");
     assert!(json.contains("\"cli.verify/model.lint\":"), "{json}");
 }
+
+#[test]
+fn verify_profile_counts_successors_pruned_on_synthesized_min() {
+    // The synthesized min CRN is certified acyclic and its modules fire
+    // independently, so the stubborn-set reduction leaves applicable
+    // reactions unexpanded; --profile still changes no stdout byte.
+    let out = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("profile_synth_min.crn");
+    let out = out.to_str().unwrap();
+    let (code, _, stderr) = run_crn(&["synthesize", "corpus/min_spec.crn", "-o", out]);
+    assert_eq!(code, 0, "{stderr}");
+    let (code, plain, _) = run_crn(&["verify", out, "--bound", "3"]);
+    assert_eq!(code, 0, "{plain}");
+    let (code, profiled, _) = run_crn(&["verify", out, "--bound", "3", "--profile"]);
+    assert_eq!(code, 0);
+    assert_eq!(plain, profiled, "--profile changed verify's stdout");
+    let (code, json, _) = run_crn(&["verify", out, "--bound", "3", "--json", "--profile"]);
+    assert_eq!(code, 0, "{json}");
+    assert!(
+        json_counter(&json, "model.box.successors_pruned") > 0,
+        "{json}"
+    );
+}

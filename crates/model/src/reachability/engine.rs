@@ -2,9 +2,11 @@
 //!
 //! [`explore`] is the only exploration loop of the crate.  It is
 //! monomorphized over a [`StateIndex`] — [`HashIndex`], [`BoxCodeIndex`],
-//! [`PackedIndex`] or [`DenseIndex`] — and a [`Sink`]: [`Edges`] builds the
+//! [`PackedIndex`] or [`DenseIndex`] — a [`Sink`] — [`Edges`] builds the
 //! CSR that [`Condensation`] decides on, and [`TerminalScan`] decides
-//! certified-acyclic CRNs on the fly.  [`VerdictEngine`] keeps the buffers
+//! certified-acyclic CRNs on the fly — and a [`Successors`] policy:
+//! [`AllReactions`] expands every applicable reaction, and the terminal scan
+//! expands only a [`Stubborn`] set.  [`VerdictEngine`] keeps the buffers
 //! alive across the points of a box sweep.
 
 use crn_numeric::NVec;
@@ -19,6 +21,7 @@ use crate::function::FunctionCrn;
 use super::arena::ConfigArena;
 use super::csr::CsrGraph;
 use super::scc::Condensation;
+use super::stubborn::{Dependence, Stubborn, StubbornScratch};
 use super::symmetry;
 use super::StableComputationVerdict;
 
@@ -399,7 +402,7 @@ impl CodeIndex {
 /// Implementations mark their per-reaction methods `#[inline]`: left to
 /// itself the compiler kept `probe` out of line, which cost the packed
 /// decision about 10% of its throughput on the `max` box.
-trait StateIndex {
+pub(super) trait StateIndex {
     /// The configuration being expanded, as [`load`](StateIndex::load)
     /// hands it to the kernel: a value the kernel keeps in registers (the
     /// packed word, or the code of counts loaded into scratch).
@@ -435,18 +438,37 @@ trait Sink<Id> {
     fn seal<I: StateIndex>(&mut self, index: &I, cur: I::Loaded, terminal: bool) -> bool;
 }
 
+/// Which applicable reactions the kernel expands at a configuration.
+pub(super) trait Successors {
+    /// The reactions to expand at `cur`, ascending — empty exactly when no
+    /// reaction applies — or `None` to expand every applicable reaction.
+    fn reduce<I: StateIndex>(&mut self, index: &I, cur: I::Loaded) -> Option<&[usize]>;
+}
+
+/// The full expansion: every applicable reaction, as the reachability graph
+/// and every verdict built from it need.
+pub(super) struct AllReactions;
+
+impl Successors for AllReactions {
+    #[inline]
+    fn reduce<I: StateIndex>(&mut self, _index: &I, _cur: I::Loaded) -> Option<&[usize]> {
+        None
+    }
+}
+
 /// The exploration kernel: expands configurations in id (= breadth-first
-/// discovery) order and reports every applicable reaction's successor and
-/// every closed expansion to `sink`.
+/// discovery) order, each by the reactions `policy` selects, and reports
+/// every selected reaction's successor and every closed expansion to `sink`.
 ///
 /// Returns `Ok(true)` once the reachable set is exhausted, `Ok(false)` when
 /// the sink stops early, and [`CrnError::SearchLimitExceeded`] iff the
 /// reachable set exceeds `max_configurations` (an early stop may pre-empt
 /// it).  Every outcome adds the number of stored configurations to
 /// `explored`.
-fn explore<I: StateIndex>(
+fn explore<I: StateIndex, P: Successors>(
     index: &mut I,
     sink: &mut impl Sink<I::Id>,
+    policy: &mut P,
     max_configurations: usize,
     explored: &mut u64,
 ) -> Result<bool, CrnError> {
@@ -454,25 +476,29 @@ fn explore<I: StateIndex>(
         let mut current = 0usize;
         while current < index.len() {
             let cur = index.load(current);
-            let mut terminal = true;
-            for r in 0..index.reaction_count() {
-                if !index.applicable(cur, r) {
-                    continue;
-                }
-                terminal = false;
-                let id = match index.probe(cur, r) {
-                    Ok(id) => id,
-                    Err(key) => {
-                        if index.len() >= max_configurations {
-                            break 'bfs Err(CrnError::SearchLimitExceeded {
-                                limit: format!("{max_configurations} reachable configurations"),
-                            });
+            let terminal = match policy.reduce(index, cur) {
+                None => {
+                    let mut terminal = true;
+                    for r in 0..index.reaction_count() {
+                        if !index.applicable(cur, r) {
+                            continue;
                         }
-                        index.insert(cur, r, key)
+                        terminal = false;
+                        if let Err(e) = fire(index, sink, current, cur, r, max_configurations) {
+                            break 'bfs Err(e);
+                        }
                     }
-                };
-                sink.edge(current, id);
-            }
+                    terminal
+                }
+                Some(chosen) => {
+                    for &r in chosen {
+                        if let Err(e) = fire(index, sink, current, cur, r, max_configurations) {
+                            break 'bfs Err(e);
+                        }
+                    }
+                    chosen.is_empty()
+                }
+            };
             if !sink.seal(index, cur, terminal) {
                 break 'bfs Ok(false);
             }
@@ -482,6 +508,32 @@ fn explore<I: StateIndex>(
     };
     *explored += u64::try_from(index.len()).expect("usize fits u64");
     outcome
+}
+
+/// Fires the applicable reaction `r` from `cur`, configuration `current`:
+/// stores the successor if it is new and reports the edge to `sink`.
+#[inline]
+fn fire<I: StateIndex>(
+    index: &mut I,
+    sink: &mut impl Sink<I::Id>,
+    current: usize,
+    cur: I::Loaded,
+    r: usize,
+    max_configurations: usize,
+) -> Result<(), CrnError> {
+    let id = match index.probe(cur, r) {
+        Ok(id) => id,
+        Err(key) => {
+            if index.len() >= max_configurations {
+                return Err(CrnError::SearchLimitExceeded {
+                    limit: format!("{max_configurations} reachable configurations"),
+                });
+            }
+            index.insert(cur, r, key)
+        }
+    };
+    sink.edge(current, id);
+    Ok(())
 }
 
 /// The buffers behind every [`StateIndex`], reused across explorations so a
@@ -893,11 +945,12 @@ impl<Id> Sink<Id> for TerminalScan {
     }
 }
 
-/// One exploration's reusable state: the index buffers, the CSR sink, and
-/// the running count of stored configurations.
+/// One exploration's reusable state: the index buffers, the CSR sink, the
+/// stubborn-set scratch, and the running count of stored configurations.
 pub(super) struct ExploreState {
     pub(super) store: Store,
     pub(super) edges: Edges,
+    stubborn: StubbornScratch,
     /// Configurations stored across every exploration of this state.
     explored: u64,
 }
@@ -908,6 +961,7 @@ impl ExploreState {
         ExploreState {
             store: Store::new(),
             edges: Edges::new(),
+            stubborn: StubbornScratch::new(),
             explored: 0,
         }
     }
@@ -930,11 +984,23 @@ impl ExploreState {
         match spec {
             Some(spec) => {
                 let mut index = BoxCodeIndex::new(store, spec, compiled, start_dense);
-                explore(&mut index, edges, max_configurations, explored)?
+                explore(
+                    &mut index,
+                    edges,
+                    &mut AllReactions,
+                    max_configurations,
+                    explored,
+                )?
             }
             None => {
                 let mut index = HashIndex::new(store, compiled, start_dense);
-                explore(&mut index, edges, max_configurations, explored)?
+                explore(
+                    &mut index,
+                    edges,
+                    &mut AllReactions,
+                    max_configurations,
+                    explored,
+                )?
             }
         };
         Ok(())
@@ -998,11 +1064,15 @@ pub(super) enum StaticOutcome {
     Fail,
 }
 
-/// What the incremental box sweep precomputes once: the packed byte
-/// encoding and the input automorphisms.  Both depend only on the CRN and
-/// the bound, so the driver builds one plan and every worker shares it by
-/// reference.
+/// What the incremental box sweep precomputes once: the stubborn-set
+/// dependence tables, the packed byte encoding and the input automorphisms.
+/// All depend only on the CRN and the bound, so the driver builds one plan
+/// and every worker shares it by reference.
 pub(super) struct SweepPlan {
+    /// The dependence tables of the [`Stubborn`] policy; present exactly
+    /// when the CRN is certified acyclic, so its points take the
+    /// [`TerminalScan`].
+    dependence: Option<Dependence>,
     /// The byte packing for certified-acyclic CRNs whose box-wide hull fits
     /// 7-bit lanes.
     packed: Option<PackedSpec>,
@@ -1035,6 +1105,7 @@ impl SweepPlan {
             None
         };
         SweepPlan {
+            dependence: analysis.acyclic().then(|| Dependence::of(compiled)),
             packed,
             perms: symmetry::input_automorphisms(crn, compiled),
         }
@@ -1112,6 +1183,12 @@ impl<'c> VerdictEngine<'c> {
     /// Configurations stored by every exploration this engine ran.
     pub(super) fn configs_explored(&self) -> u64 {
         self.state.explored
+    }
+
+    /// Applicable reactions the stubborn-set reduction left unexpanded, over
+    /// every decision this engine ran.
+    pub(super) fn successors_pruned(&self) -> u64 {
+        self.state.stubborn.pruned()
     }
 
     /// Checks the arity of `x` and builds the initial configuration `I_x`
@@ -1204,14 +1281,18 @@ impl<'c> VerdictEngine<'c> {
 
     /// Decides whether the CRN stably computes `expected_output` on `x` —
     /// exactly the `correct` flag [`check`](VerdictEngine::check) would
-    /// report, `Ok(false)` standing for "fails or errors" — without
-    /// materializing a verdict.  The box driver runs this on every candidate
-    /// point and re-checks only the winning failure in full.
+    /// report, `Ok(false)` standing for "fails or errors", wherever `check`
+    /// completes — without materializing a verdict.  The box driver runs
+    /// this on every candidate point and re-checks only the winning failure
+    /// in full.
     ///
-    /// A certified-acyclic CRN takes the [`TerminalScan`]: through the
-    /// plan's [`DenseIndex`] or [`PackedIndex`] when the sweep's hull packs,
-    /// else through the [`BoxCodeIndex`] of the point's interval box.  Every
-    /// other point builds the CSR and runs [`Condensation::all_recover`].
+    /// A certified-acyclic CRN takes the [`TerminalScan`] over the
+    /// [`Stubborn`] reduction, which stores only part of the reachable set
+    /// and so can conclude within `max_configurations` where `check` gives
+    /// up: through the plan's [`DenseIndex`] or [`PackedIndex`] when the
+    /// sweep's hull packs, else through the [`BoxCodeIndex`] of the point's
+    /// interval box, or the [`HashIndex`] past the code range.  Every other
+    /// point builds the CSR and runs [`Condensation::all_recover`].
     pub(super) fn decide(
         &mut self,
         x: &NVec,
@@ -1221,42 +1302,79 @@ impl<'c> VerdictEngine<'c> {
     ) -> Result<bool, CrnError> {
         self.build_start(x)?;
         let output = self.crn.output().index();
+        let Some(dependence) = &plan.dependence else {
+            let spec = self.box_spec();
+            self.state.run(
+                self.compiled,
+                &self.start_dense,
+                spec.as_ref(),
+                max_configurations,
+            )?;
+            let arena = &self.state.store.arena;
+            return Ok(self.cond.all_recover(
+                &self.state.edges.csr,
+                |v| arena.get(v)[output],
+                expected_output,
+            ));
+        };
         let mut scan = TerminalScan {
             output,
             expected: expected_output,
         };
+        let spec = if plan.packed.is_none() {
+            self.box_spec()
+        } else {
+            None
+        };
+        let ExploreState {
+            store,
+            stubborn,
+            explored,
+            ..
+        } = &mut self.state;
+        let mut policy = Stubborn::new(dependence, self.compiled, stubborn);
         if let Some(packed) = &plan.packed {
             let start = packed.pack(&self.start_dense);
-            let (store, explored) = (&mut self.state.store, &mut self.state.explored);
             return if packed.dense_volume > 0 {
                 let mut index = DenseIndex::new(store, packed, start);
-                explore(&mut index, &mut scan, max_configurations, explored)
+                explore(
+                    &mut index,
+                    &mut scan,
+                    &mut policy,
+                    max_configurations,
+                    explored,
+                )
             } else {
                 let mut index = PackedIndex::new(store, packed, start);
-                explore(&mut index, &mut scan, max_configurations, explored)
+                explore(
+                    &mut index,
+                    &mut scan,
+                    &mut policy,
+                    max_configurations,
+                    explored,
+                )
             };
         }
-        let spec = self.box_spec();
-        let acyclic = self.analysis.is_some_and(Analysis::acyclic);
         match &spec {
-            Some(spec) if acyclic => {
-                let (store, explored) = (&mut self.state.store, &mut self.state.explored);
+            Some(spec) => {
                 let mut index = BoxCodeIndex::new(store, spec, self.compiled, &self.start_dense);
-                explore(&mut index, &mut scan, max_configurations, explored)
-            }
-            _ => {
-                self.state.run(
-                    self.compiled,
-                    &self.start_dense,
-                    spec.as_ref(),
+                explore(
+                    &mut index,
+                    &mut scan,
+                    &mut policy,
                     max_configurations,
-                )?;
-                let arena = &self.state.store.arena;
-                Ok(self.cond.all_recover(
-                    &self.state.edges.csr,
-                    |v| arena.get(v)[output],
-                    expected_output,
-                ))
+                    explored,
+                )
+            }
+            None => {
+                let mut index = HashIndex::new(store, self.compiled, &self.start_dense);
+                explore(
+                    &mut index,
+                    &mut scan,
+                    &mut policy,
+                    max_configurations,
+                    explored,
+                )
             }
         }
     }
@@ -1342,5 +1460,89 @@ impl<'c> VerdictEngine<'c> {
             stable_outputs,
             failure,
         })
+    }
+}
+
+/// Kernel entry points for the stubborn-set tests: full and reduced
+/// explorations through the [`HashIndex`], observed configuration by
+/// configuration.
+#[cfg(test)]
+pub(super) mod testing {
+    use std::collections::BTreeSet;
+
+    use super::*;
+
+    /// Records every terminal configuration the kernel seals.
+    struct Terminals {
+        stride: usize,
+        found: BTreeSet<Vec<u64>>,
+    }
+
+    impl Sink<usize> for Terminals {
+        fn edge(&mut self, _from: usize, _to: usize) {}
+
+        fn seal<I: StateIndex>(&mut self, index: &I, cur: I::Loaded, terminal: bool) -> bool {
+            if terminal {
+                self.found
+                    .insert((0..self.stride).map(|s| index.count(cur, s)).collect());
+            }
+            true
+        }
+    }
+
+    /// The terminal configurations reachable from `start`, under the
+    /// stubborn reduction when `reduced`, plus the number of configurations
+    /// stored.
+    pub(in crate::reachability) fn terminals(
+        compiled: &CompiledCrn,
+        start: &[u64],
+        reduced: bool,
+        max_configurations: usize,
+    ) -> Result<(BTreeSet<Vec<u64>>, u64), CrnError> {
+        let mut store = Store::new();
+        let mut index = HashIndex::new(&mut store, compiled, start);
+        let mut sink = Terminals {
+            stride: start.len(),
+            found: BTreeSet::new(),
+        };
+        let mut explored = 0;
+        if reduced {
+            let dependence = Dependence::of(compiled);
+            let mut scratch = StubbornScratch::new();
+            let mut policy = Stubborn::new(&dependence, compiled, &mut scratch);
+            explore(
+                &mut index,
+                &mut sink,
+                &mut policy,
+                max_configurations,
+                &mut explored,
+            )?;
+        } else {
+            explore(
+                &mut index,
+                &mut sink,
+                &mut AllReactions,
+                max_configurations,
+                &mut explored,
+            )?;
+        }
+        Ok((sink.found, explored))
+    }
+
+    /// The reactions the stubborn policy expands at `start`.
+    pub(in crate::reachability) fn stubborn_choice(
+        compiled: &CompiledCrn,
+        start: &[u64],
+    ) -> Vec<usize> {
+        let mut store = Store::new();
+        let mut index = HashIndex::new(&mut store, compiled, start);
+        index.load(0);
+        let dependence = Dependence::of(compiled);
+        let mut scratch = StubbornScratch::new();
+        let mut policy = Stubborn::new(&dependence, compiled, &mut scratch);
+        policy
+            .reduce(&index, ())
+            .expect("the stubborn policy always chooses")
+            .to_vec()
     }
 }

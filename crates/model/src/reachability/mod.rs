@@ -18,8 +18,12 @@
 //!   arena ids, so exploration never clones a sparse configuration per edge;
 //! * [`engine`](self) (internal) — the one breadth-first **exploration
 //!   kernel**, monomorphized over a state index (hash arena, mixed-radix box
-//!   code, or byte-packed word) and a sink (CSR edges, or the terminal-output
-//!   scan that decides certified-acyclic CRNs);
+//!   code, or byte-packed word), a sink (CSR edges, or the terminal-output
+//!   scan that decides certified-acyclic CRNs) and a successor policy (every
+//!   applicable reaction, or a stubborn set);
+//! * [`stubborn`](self) (internal) — the **stubborn-set reduction** the
+//!   terminal scan explores: it fires one independent module at a time and
+//!   keeps exactly the reachable deadlocks;
 //! * [`CsrGraph`] — successor storage laid out in **compressed sparse row**
 //!   form directly during the breadth-first exploration;
 //! * [`Condensation`] — **Tarjan SCC condensation**; the three reachability
@@ -37,6 +41,7 @@ mod engine;
 pub mod oracle;
 mod parallel;
 mod scc;
+mod stubborn;
 mod symmetry;
 
 use crn_sync::OnceLock;
@@ -308,13 +313,18 @@ pub fn check_stable_computation(
 /// from the static interval analysis where it can, and otherwise explores
 /// through the mixed-radix code of the point's interval box — or, for
 /// certified-acyclic CRNs on small hulls, through a packed byte encoding,
-/// one `u64` per configuration.  Box points are decoded from a mixed-radix
-/// index on demand, so the sweep allocates `O(1)` memory in the box size.
-/// The result is nonetheless bit-identical to
-/// [`check_on_box_reference`] — the first failing verdict in lexicographic
-/// input order, the same one a sequential unpruned scan would return, byte
+/// one `u64` per configuration.  A certified-acyclic CRN's points explore
+/// only a stubborn-set reduction of their reachable sets, which keeps every
+/// terminal configuration.  Box points are decoded from a mixed-radix index
+/// on demand, so the sweep allocates `O(1)` memory in the box size.
+///
+/// Wherever [`check_on_box_reference`] completes, the result is
+/// bit-identical to it — the first failing verdict in lexicographic input
+/// order, the same one a sequential unpruned scan would return, byte
 /// identical failure messages and errors included — or `Ok(None)` if all
-/// inputs pass.
+/// inputs pass.  `max_configurations` bounds the configurations one input's
+/// search stores, so on a certified-acyclic CRN this scan can conclude
+/// where the reference gives up.
 ///
 /// # Errors
 ///
@@ -389,7 +399,7 @@ pub fn check_on_box_with_stats(
 /// [`check_on_box`] without any static analysis: every input runs the plain
 /// hash-interned exploration and a full verdict, exactly the pre-analysis
 /// engine.  Kept as the differential oracle of the incremental scan (both
-/// must agree bit-for-bit, errors included).
+/// must agree bit-for-bit, errors included, wherever this scan completes).
 ///
 /// # Errors
 ///

@@ -42,7 +42,8 @@ enum BadPoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(super) enum EngineMode {
     /// Full verdict construction at every point, no static analysis.  The
-    /// differential oracle the incremental mode must match bit for bit.
+    /// differential oracle the incremental mode must match bit for bit
+    /// wherever it completes.
     Reference,
     /// The incremental engine: symmetry-orbit skipping, adaptive static
     /// pruning, and the analyzed decision passes.
@@ -90,11 +91,14 @@ fn decode_point(mut index: u64, radix: u64, x: &mut NVec) {
 /// (or error) of the lexicographically-first input that does not pass, plus
 /// the sweep's observability counters.
 ///
-/// Both modes return bit-identical outcomes; they differ only in how much
-/// work each point costs.  The incremental mode records only the *index* of
-/// a bad point during the scan; the one bad index that wins the race is
-/// re-checked in full, so the returned outcome is byte-identical to the
-/// reference scan — failure messages and errors included.
+/// Both modes return bit-identical outcomes wherever the reference mode
+/// completes; they differ only in how much work each point costs.  The
+/// incremental mode records only the *index* of a bad point during the
+/// scan; the one bad index that wins the race is re-checked in full, so the
+/// returned outcome is byte-identical to the reference scan — failure
+/// messages and errors included.  Its decisions on certified-acyclic CRNs
+/// store only a stubborn-set reduction, so it can pass a point whose full
+/// exploration outgrows `max_configurations`.
 pub(super) fn check_on_box_sharded(
     crn: &FunctionCrn,
     f: &(impl Fn(&NVec) -> u64 + Sync),
@@ -249,6 +253,7 @@ pub(super) fn check_on_box_sharded(
             let (collisions, grows) = engine.arena_metrics();
             crn_obs::add("model.arena.collisions", collisions);
             crn_obs::add("model.arena.grows", grows);
+            crn_obs::add("model.box.successors_pruned", engine.successors_pruned());
             crn_obs::observe("model.box.worker_draws", draws);
         }
         (best, stats)

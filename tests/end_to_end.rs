@@ -180,3 +180,48 @@ fn synthesized_figure7_is_certified_acyclic() {
         "the truncation note must still be emitted"
     );
 }
+
+/// The synthesized Lemma 6.2 constructions verify exhaustively at bound 4
+/// within the default budget.  Each is certified acyclic, so the box check
+/// decides on the stubborn-set-reduced terminal scan; the cap on stored
+/// configurations catches a reduction that silently stops firing (the
+/// unreduced `min_spec` sweep alone stores over a million).
+#[test]
+fn synthesized_constructions_verify_exhaustively_at_bound_4() {
+    use composable_crn::model::{check_on_box_stats, ReachabilityLimits};
+
+    for name in ["min_spec", "figure7", "staircase", "compound_spec"] {
+        let path = format!("{}/corpus/{name}.crn", env!("CARGO_MANIFEST_DIR"));
+        let source = std::fs::read_to_string(&path).expect("corpus document is readable");
+        let doc =
+            composable_crn::lang::lower_document(&composable_crn::lang::parse(&source).unwrap())
+                .unwrap();
+        // `crn synthesize` prefers the spec item and characterizes a fn item
+        // at its default bound of 8.
+        let spec = match (doc.specs.as_slice(), doc.fns.as_slice()) {
+            ([(_, spec)], _) => spec.clone(),
+            ([], [(_, f)]) => match characterize(f, 8).unwrap() {
+                Characterization::ObliviouslyComputable { spec } => spec,
+                other => panic!("{name}: not obliviously computable: {other:?}"),
+            },
+            _ => panic!("{name}: expected one spec or one fn item"),
+        };
+        let crn = synthesize(&spec).unwrap();
+        assert!(
+            crn.analysis().acyclic(),
+            "{name} lost its acyclicity certificate"
+        );
+        let budget = ReachabilityLimits::default().max_configurations;
+        let (outcome, stats) = check_on_box_stats(&crn, |x| spec.eval(x).unwrap(), 4, budget);
+        assert_eq!(
+            outcome,
+            Ok(None),
+            "{name} must pass exhaustively at bound 4"
+        );
+        assert!(
+            stats.configs_explored <= 20_000,
+            "{name}: {} configurations stored at bound 4",
+            stats.configs_explored
+        );
+    }
+}
